@@ -86,19 +86,35 @@ class PowerConfig:
     averaging_slots: int = 1
 
     def __post_init__(self):
-        if not self.P > 0:
-            raise ValueError("P must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0 < self.P < math.inf:
+            raise ValueError("P must be positive and finite")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be nonnegative and finite")
         if self.averaging_slots < 1:
             raise ValueError("averaging_slots must be >= 1")
 
 
-def _coherent_sum(a: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of sum_i a_i e^{j theta_i} over the last axis."""
+def received_magnitude(a, theta, P: float, sigma2: float = 0.0, noise=None) -> np.ndarray:
+    """The one coherent-sum formula behind :func:`magnitude`,
+    :func:`magnitude_batch`, :func:`measure_magnitude` and the search kernel,
+    applied over the last axis of ``theta``.
+
+    Noiseless: sqrt(P) * |sum_i a_i e^{j theta_i}|. With ``noise`` (standard
+    normals of shape (..., 2, k): real parts, then imaginary parts), the mean
+    over k slots of |sqrt(P) sum_i a_i e^{j theta_i} + w| with w of variance
+    sigma2.
+    """
     re = (a * np.cos(theta)).sum(axis=-1)
     im = (a * np.sin(theta)).sum(axis=-1)
-    return re, im
+    sqrt_p = math.sqrt(P)
+    if noise is None:
+        return sqrt_p * np.hypot(re, im)
+    scale = math.sqrt(sigma2 / 2.0)
+    slots = np.hypot(
+        sqrt_p * re[..., None] + scale * noise[..., 0, :],
+        sqrt_p * im[..., None] + scale * noise[..., 1, :],
+    )
+    return slots.mean(axis=-1)
 
 
 def _check_theta(channel: ChannelRealization, theta) -> np.ndarray:
@@ -119,8 +135,7 @@ def magnitude(channel: ChannelRealization, theta, P: float = 1.0) -> float:
     theta = _check_theta(channel, theta)
     if not P > 0:
         raise ValueError("P must be positive")
-    re, im = _coherent_sum(channel.a, theta)
-    return float(math.sqrt(P) * np.hypot(re, im))
+    return float(received_magnitude(channel.a, theta, P))
 
 
 def magnitude_batch(channel: ChannelRealization, thetas, P: float = 1.0) -> np.ndarray:
@@ -133,8 +148,7 @@ def magnitude_batch(channel: ChannelRealization, thetas, P: float = 1.0) -> np.n
         raise ValueError("thetas must be (m, n_s)")
     if not P > 0:
         raise ValueError("P must be positive")
-    re, im = _coherent_sum(channel.a, thetas)
-    return math.sqrt(P) * np.hypot(re, im)
+    return received_magnitude(channel.a, thetas, P)
 
 
 def optimal_magnitude(channel: ChannelRealization, P: float = 1.0) -> float:
@@ -160,15 +174,8 @@ def measure_magnitude(
     if power.sigma2 == 0.0:
         return magnitude(channel, theta, power.P)
     theta = _check_theta(channel, theta)
-    rng = as_generator(rng)
-    re, im = _coherent_sum(channel.a, theta)
-    sqrt_p = math.sqrt(power.P)
-    k = power.averaging_slots
-    scale = math.sqrt(power.sigma2 / 2.0)
-    w_re = rng.standard_normal(k)
-    w_im = rng.standard_normal(k)
-    slots = np.hypot(sqrt_p * re + scale * w_re, sqrt_p * im + scale * w_im)
-    return float(slots.mean())
+    noise = as_generator(rng).standard_normal((2, power.averaging_slots))
+    return float(received_magnitude(channel.a, theta, power.P, power.sigma2, noise))
 
 
 def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:

@@ -26,6 +26,8 @@ from .channel import (
     optimal_magnitude,
 )
 from .experiments import (
+    CONFIG_SCHEMA,
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     avg_convergence_csv,
     config_from_items,
@@ -45,22 +47,6 @@ from .oracle import (
     verify_shift_invariance,
 )
 from .search import PerturbationSpec, StopRule, run_trajectory
-
-# CLI flag -> config file key (kebab-case per key; kind comes from the subcommand)
-_FLAG_KEYS = (
-    ("--n-s", "n_s"),
-    ("--trials", "trials"),
-    ("--alpha", "alpha"),
-    ("--eps", "eps"),
-    ("--delta0", "delta0"),
-    ("--P", "P"),
-    ("--sigma2", "sigma2"),
-    ("--averaging-slots", "averaging_slots"),
-    ("--init-mode", "init_mode"),
-    ("--channel-policy", "channel_policy"),
-    ("--horizon", "horizon"),
-    ("--master-seed", "master_seed"),
-)
 
 VERIFY_CHECKS = ("shift-invariance", "local-global", "improvement", "increment")
 
@@ -98,8 +84,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, help="override the master seed")
-        for flag, key in _FLAG_KEYS:
-            p.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE")
+        for key in CONFIG_SCHEMA:
+            if key != "kind":  # kind comes from the subcommand
+                p.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", metavar="VALUE")
 
     p = sub.add_parser("sample-path", help="trajectories from random initial points over one fixed channel")
     add_common(p)
@@ -124,11 +111,11 @@ def _build_parser() -> _Parser:
 
 
 def _invocation_from_args(args) -> CliInvocation:
-    overrides = {}
-    for _, key in _FLAG_KEYS:
-        value = getattr(args, f"cfg_{key}", None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {
+        key: value
+        for key in CONFIG_SCHEMA
+        if (value := getattr(args, f"cfg_{key}", None)) is not None
+    }
     return CliInvocation(
         subcommand=args.subcommand,
         config_path=args.config,
@@ -147,13 +134,8 @@ def _resolve_config(inv: CliInvocation) -> ExperimentConfig:
         config = load_config(inv.config_path)
     else:
         config = ExperimentConfig()
-    kind = {
-        "sample-path": "sample-path",
-        "hitting-time": "hitting-time",
-        "avg-convergence": "avg-convergence",
-    }.get(inv.subcommand)
-    if kind is not None:
-        config = dataclasses.replace(config, kind=kind)
+    if inv.subcommand in EXPERIMENT_KINDS:
+        config = dataclasses.replace(config, kind=inv.subcommand)
     if inv.overrides:
         config = config_from_items(inv.overrides, base=config)
     if inv.seed_override is not None:

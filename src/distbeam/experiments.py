@@ -3,8 +3,9 @@ average convergence time vs n_s, with seed-level reproducibility.
 
 Per-trial random streams are a pure function of (master_seed, n_s, trial), so
 adding trials, n_s points, or thresholds never perturbs existing results. All
-trials of one n_s advance in lockstep through a vectorized engine that is
-bit-identical to composing :func:`distbeam.search.run_trajectory` per trial.
+trials of one n_s advance in lockstep through the search kernel, the same one
+:func:`distbeam.search.run_trajectory` runs on a single row, so the curves are
+bit-identical to per-trial trajectories, with or without noise.
 """
 
 from __future__ import annotations
@@ -13,22 +14,23 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import (
-    TWO_PI,
-    canonical_phases,
-    generate_channel,
-    PowerConfig,
+from .channel import generate_channel, PowerConfig
+from .search import (
+    PerturbationSpec,
+    StopRule,
+    Trajectory,
+    _lockstep,
+    _start,
+    run_trajectory,
 )
-from .search import PerturbationSpec, StopRule, Trajectory, run_trajectory
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
 INIT_MODES = ("origin", "zero", "uniform")
 CHANNEL_POLICIES = ("redrawn-per-trial", "fixed-across-trials")
-
-_ENGINE_CHUNK = 256
 
 
 def parse_angle(text: str) -> float:
@@ -99,16 +101,10 @@ class ExperimentConfig:
         if any(not 0.0 < a <= 1.0 for a in alphas):
             raise ValueError("alpha must be in (0, 1]")
         object.__setattr__(self, "alpha", alphas)
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if not self.delta0 > 0:
-            raise ValueError("delta0 must be positive")
-        if not self.P > 0:
-            raise ValueError("P must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-        if self.averaging_slots < 1:
-            raise ValueError("averaging_slots must be >= 1")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        self.power()  # checks P, sigma2 and averaging_slots
+        self.perturbation()  # checks delta0
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"unknown init mode: {self.init_mode!r}")
         if self.channel_policy not in CHANNEL_POLICIES:
@@ -128,72 +124,59 @@ class ExperimentConfig:
         return PerturbationSpec(delta0=self.delta0)
 
 
+class ConfigKey(NamedTuple):
+    """One config-file key: the ExperimentConfig field it sets, the parser of
+    its text and the canonical formatter. Its CLI flag is ``--`` plus the key
+    with ``_`` turned into ``-``."""
+
+    field: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 # key=value config file schema; key order is the canonical dump order
-_CONFIG_KEYS = (
-    "kind",
-    "n_s",
-    "trials",
-    "alpha",
-    "eps",
-    "delta0",
-    "P",
-    "sigma2",
-    "averaging_slots",
-    "init_mode",
-    "channel_policy",
-    "horizon",
-    "master_seed",
-)
-
-_KEY_TO_FIELD = {
-    "kind": "kind",
-    "n_s": "n_s_values",
-    "trials": "trials",
-    "alpha": "alpha",
-    "eps": "eps",
-    "delta0": "delta0",
-    "P": "P",
-    "sigma2": "sigma2",
-    "averaging_slots": "averaging_slots",
-    "init_mode": "init_mode",
-    "channel_policy": "channel_policy",
-    "horizon": "horizon",
-    "master_seed": "master_seed",
+CONFIG_SCHEMA = {
+    "kind": ConfigKey("kind", str, str),
+    "n_s": ConfigKey("n_s_values", _int_list, lambda v: ",".join(map(str, v))),
+    "trials": ConfigKey("trials", int, str),
+    "alpha": ConfigKey("alpha", _float_list, lambda v: ",".join(map(repr, v))),
+    "eps": ConfigKey(
+        "eps", lambda t: None if t == "" else float(t), lambda v: "" if v is None else repr(v)
+    ),
+    "delta0": ConfigKey("delta0", parse_angle, repr),
+    "P": ConfigKey("P", float, repr),
+    "sigma2": ConfigKey("sigma2", float, repr),
+    "averaging_slots": ConfigKey("averaging_slots", int, str),
+    "init_mode": ConfigKey("init_mode", str, str),
+    "channel_policy": ConfigKey("channel_policy", str, str),
+    "horizon": ConfigKey(
+        "horizon",
+        lambda t: None if t in ("", "auto") else int(t),
+        lambda v: "auto" if v is None else str(v),
+    ),
+    "master_seed": ConfigKey("master_seed", int, str),
 }
-
-
-def parse_config_value(key: str, text: str):
-    """Parse one config value; raises ValueError naming the key on bad input."""
-    text = text.strip()
-    try:
-        if key == "kind" or key == "init_mode" or key == "channel_policy":
-            return text
-        if key == "n_s":
-            return tuple(int(v) for v in text.split(","))
-        if key == "trials" or key == "averaging_slots" or key == "master_seed":
-            return int(text)
-        if key == "alpha":
-            return tuple(float(v) for v in text.split(","))
-        if key == "eps":
-            return None if text == "" else float(text)
-        if key == "delta0":
-            return parse_angle(text)
-        if key == "P" or key == "sigma2":
-            return float(text)
-        if key == "horizon":
-            return None if text in ("", "auto") else int(text)
-    except ValueError as exc:
-        raise ValueError(f"bad value for config key {key!r}: {text!r}") from exc
-    raise ValueError(f"unknown config key: {key!r}")
 
 
 def config_from_items(items: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a config from string key/value pairs on top of ``base``."""
     fields = {}
     for key, text in items.items():
-        if key not in _KEY_TO_FIELD:
+        if key not in CONFIG_SCHEMA:
             raise ValueError(f"unknown config key: {key!r}")
-        fields[_KEY_TO_FIELD[key]] = parse_config_value(key, text)
+        row, text = CONFIG_SCHEMA[key], text.strip()
+        try:
+            fields[row.field] = row.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"bad value for config key {key!r}: {text!r}") from exc
     if base is None:
         return ExperimentConfig(**fields)
     return dataclasses.replace(base, **fields)
@@ -223,22 +206,10 @@ def load_config(path) -> ExperimentConfig:
 
 def dump_config(config: ExperimentConfig) -> str:
     """Canonical key=value rendering; parse_config_text round-trips exactly."""
-    values = {
-        "kind": config.kind,
-        "n_s": ",".join(str(n) for n in config.n_s_values),
-        "trials": str(config.trials),
-        "alpha": ",".join(repr(a) for a in config.alpha),
-        "eps": "" if config.eps is None else repr(config.eps),
-        "delta0": repr(config.delta0),
-        "P": repr(config.P),
-        "sigma2": repr(config.sigma2),
-        "averaging_slots": str(config.averaging_slots),
-        "init_mode": config.init_mode,
-        "channel_policy": config.channel_policy,
-        "horizon": "auto" if config.horizon is None else str(config.horizon),
-        "master_seed": str(config.master_seed),
-    }
-    return "".join(f"{k}={values[k]}\n" for k in _CONFIG_KEYS)
+    return "".join(
+        f"{key}={row.format(getattr(config, row.field))}\n"
+        for key, row in CONFIG_SCHEMA.items()
+    )
 
 
 def trial_seed_sequence(master_seed: int, n_s: int, trial: int) -> np.random.SeedSequence:
@@ -249,18 +220,6 @@ def trial_seed_sequence(master_seed: int, n_s: int, trial: int) -> np.random.See
 def shared_channel_seed_sequence(master_seed: int, n_s: int) -> np.random.SeedSequence:
     """Seed stream for the channel shared across trials (fixed policy, Fig 1)."""
     return np.random.SeedSequence([int(master_seed), int(n_s)])
-
-
-def _initial_phases(config: ExperimentConfig, channel, rng) -> np.ndarray:
-    if config.init_mode in ("origin", "zero"):
-        return channel.phi.copy()
-    return canonical_phases(rng.uniform(0.0, TWO_PI, channel.n_s))
-
-
-def _trial_channel_and_rng(config: ExperimentConfig, n_s: int, trial: int, shared):
-    rng = np.random.default_rng(trial_seed_sequence(config.master_seed, n_s, trial))
-    channel = shared if shared is not None else generate_channel(n_s, rng)
-    return channel, rng
 
 
 def _shared_channel(config: ExperimentConfig, n_s: int):
@@ -282,101 +241,46 @@ class _TrialBatch:
     identity_dev: float
 
 
-def _run_trial_batch(
+def _run_lockstep(
     config: ExperimentConfig, n_s: int, horizon: int, stop_alpha: float | None = None
 ) -> _TrialBatch:
-    """Advance all trials of one n_s in lockstep (noiseless fast path).
+    """Advance all trials of one n_s in lockstep through the search kernel.
 
-    ``stop_alpha`` stops early (at chunk granularity) once every trial has
-    reached stop_alpha times its own optimum; curves of stopped trials keep
-    extending until the batch stops, which cannot change first passages.
+    Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
+    its channel (unless shared), initial phases and perturbations, in that
+    order. ``stop_alpha`` stops early (at chunk granularity) once every trial
+    has reached stop_alpha times its own optimum; curves of stopped trials
+    keep extending until the batch stops, which cannot change first passages.
     """
-    if config.sigma2 > 0:
-        return _run_trial_batch_sequential(config, n_s, horizon, stop_alpha)
-
-    trials = config.trials
-    sqrt_p = math.sqrt(config.P)
-    d0 = config.delta0
     shared = _shared_channel(config, n_s)
-
-    rngs = []
-    a_rows = []
-    th_rows = []
-    for k in range(trials):
-        channel, rng = _trial_channel_and_rng(config, n_s, k, shared)
-        th_rows.append(_initial_phases(config, channel, rng))
-        a_rows.append(channel.a)
-        rngs.append(rng)
-    amps = np.stack(a_rows)
-    theta = np.stack(th_rows)
-    opt_mags = sqrt_p * amps.sum(axis=1)
-
-    cur = sqrt_p * np.hypot(
-        (amps * np.cos(theta)).sum(axis=-1), (amps * np.sin(theta)).sum(axis=-1)
-    )
-    curves = np.empty((trials, horizon + 1))
-    curves[:, 0] = cur
-    c0 = cur.copy()
-    inc_sum = np.zeros(trials)
-
-    target = None if stop_alpha is None else stop_alpha * opt_mags
-    t = 0
-    while t < horizon:
-        if target is not None and np.all(cur >= target):
-            break
-        chunk = min(_ENGINE_CHUNK, horizon - t)
-        deltas = np.stack([rng.uniform(-d0, d0, (chunk, n_s)) for rng in rngs], axis=1)
-        for i in range(chunk):
-            proposed = canonical_phases(theta + deltas[i])
-            pm = sqrt_p * np.hypot(
-                (amps * np.cos(proposed)).sum(axis=-1),
-                (amps * np.sin(proposed)).sum(axis=-1),
-            )
-            mask = pm > cur
-            theta[mask] = proposed[mask]
-            inc_sum[mask] += pm[mask] - cur[mask]
-            cur[mask] = pm[mask]
-            t += 1
-            curves[:, t] = cur
-
-    final = curves[:, t]
-    dev = np.abs(final - (c0 + inc_sum)) / np.maximum(final, 1e-30)
-    return _TrialBatch(
-        curves=curves[:, : t + 1], opt_mags=opt_mags, identity_dev=float(dev.max())
+    rngs = [
+        np.random.default_rng(trial_seed_sequence(config.master_seed, n_s, k))
+        for k in range(config.trials)
+    ]
+    channels = [shared if shared is not None else generate_channel(n_s, rng) for rng in rngs]
+    power = config.power()
+    batch, noise_rngs = _start(channels, config.init_mode, power, rngs)
+    opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
+    stop = (
+        StopRule.steps(horizon)
+        if stop_alpha is None
+        else StopRule.alpha_fraction(stop_alpha, horizon)
     )
 
-
-def _run_trial_batch_sequential(
-    config: ExperimentConfig, n_s: int, horizon: int, stop_alpha: float | None
-) -> _TrialBatch:
-    """Per-trial fallback used when measurement noise is on."""
-    shared = _shared_channel(config, n_s)
     curves = np.empty((config.trials, horizon + 1))
-    opt_mags = np.empty(config.trials)
-    dev = 0.0
-    for k in range(config.trials):
-        channel, rng = _trial_channel_and_rng(config, n_s, k, shared)
-        stop = (
-            StopRule.steps(horizon)
-            if stop_alpha is None
-            else StopRule.alpha_fraction(stop_alpha, horizon)
-        )
-        traj = run_trajectory(
-            channel,
-            config.perturbation(),
-            config.power(),
-            config.init_mode,
-            stop,
-            seed=rng,
-            record_thetas=False,
-        )
-        mags = traj.magnitudes()
-        curves[k, : mags.shape[0]] = mags
-        curves[k, mags.shape[0] :] = mags[-1]
-        opt_mags[k] = math.sqrt(config.P) * channel.a.sum()
-        ident = abs(traj.final_mag - (traj.initial_mag + traj.increments.sum()))
-        dev = max(dev, ident / max(traj.final_mag, 1e-30))
-    return _TrialBatch(curves=curves, opt_mags=opt_mags, identity_dev=dev)
+    curves[:, 0] = batch.cur
+    inc_sum = np.zeros(config.trials)
+    for _, _, inc in _lockstep(
+        batch, config.perturbation(), power, stop, opt_mags, rngs, noise_rngs
+    ):
+        curves[:, batch.t] = batch.cur
+        inc_sum += inc
+
+    final = batch.cur
+    dev = np.abs(final - (curves[:, 0] + inc_sum)) / np.maximum(final, 1e-30)
+    return _TrialBatch(
+        curves=curves[:, : batch.t + 1], opt_mags=opt_mags, identity_dev=float(dev.max())
+    )
 
 
 def run_sample_paths(config: ExperimentConfig, count: int) -> list[Trajectory]:
@@ -486,7 +390,7 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     per_ns = []
     max_dev = 0.0
     for n_s in config.n_s_values:
-        batch = _run_trial_batch(config, n_s, config.horizon_for(n_s))
+        batch = _run_lockstep(config, n_s, config.horizon_for(n_s))
         per_ns.append((n_s, batch.curves.mean(axis=0), float(batch.opt_mags.mean())))
         max_dev = max(max_dev, batch.identity_dev)
 
@@ -567,7 +471,7 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     per_ns = []
     max_dev = 0.0
     for n_s in config.n_s_values:
-        batch = _run_trial_batch(
+        batch = _run_lockstep(
             config, n_s, config.horizon_for(n_s), stop_alpha=alpha_max
         )
         per_ns.append((n_s, batch))

@@ -4,11 +4,16 @@ The generic loop: sample a perturbation from a local measure, evaluate the
 received magnitude at the perturbed phases, and let a decision map accept
 only non-degrading moves. The canonical instance accepts exactly when the
 proposed magnitude strictly exceeds the current one (ties discard).
+
+One lockstep kernel, :func:`_lockstep`, runs this loop on a (trials, n_s)
+batch. A single step, a trajectory (one row) and the experiment engine (one
+row per trial) all run through it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, TextIO
 
@@ -23,7 +28,10 @@ from .channel import (
     canonical_phases,
     measure_magnitude,
     optimal_magnitude,
+    received_magnitude,
 )
+
+_CHUNK = 256  # steps whose perturbations one generator call draws
 
 
 class FeedbackBit(enum.Enum):
@@ -54,12 +62,12 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.family != "uniform-hypercube":
             raise ValueError(f"unknown perturbation family: {self.family!r}")
-        if not self.delta0 > 0:
-            raise ValueError("delta0 must be positive")
+        if not 0 < self.delta0 <= math.pi:
+            raise ValueError("delta0 must be in (0, pi]")
         if self.schedule is not None:
             sched = tuple(float(d) for d in self.schedule)
-            if any(not d > 0 for d in sched):
-                raise ValueError("schedule entries must be positive")
+            if any(not 0 < d <= math.pi for d in sched):
+                raise ValueError("schedule entries must be in (0, pi]")
             object.__setattr__(self, "schedule", sched)
 
     def delta0_at(self, step_index: int) -> float:
@@ -184,6 +192,22 @@ class Trajectory:
             )
 
 
+def _init_theta(channel: ChannelRealization, mode, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(mode, str):
+        if mode in ("zero", "origin"):
+            return channel.phi.copy()
+        if mode == "uniform":
+            return canonical_phases(rng.uniform(0.0, TWO_PI, channel.n_s))
+        raise ValueError(f"unknown init mode: {mode!r}")
+    theta = canonical_phases(mode)
+    if theta.shape != (channel.n_s,):
+        raise ValueError(
+            f"explicit init vector has length {theta.shape[0] if theta.ndim == 1 else '?'}, "
+            f"channel has {channel.n_s} transmitters"
+        )
+    return theta
+
+
 def init_state(
     channel: ChannelRealization,
     mode,
@@ -197,20 +221,7 @@ def init_state(
     component i.i.d. uniform on [0, 2pi)), or an explicit phase vector.
     """
     rng = as_generator(rng)
-    if isinstance(mode, str):
-        if mode in ("zero", "origin"):
-            theta = channel.phi.copy()
-        elif mode == "uniform":
-            theta = canonical_phases(rng.uniform(0.0, TWO_PI, channel.n_s))
-        else:
-            raise ValueError(f"unknown init mode: {mode!r}")
-    else:
-        theta = canonical_phases(mode)
-        if theta.shape != (channel.n_s,):
-            raise ValueError(
-                f"explicit init vector has length {theta.shape[0] if theta.ndim == 1 else '?'}, "
-                f"channel has {channel.n_s} transmitters"
-            )
+    theta = _init_theta(channel, mode, rng)
     mag = measure_magnitude(channel, theta, power, rng)
     return SearchState(theta=theta, current_mag=mag, step_index=0)
 
@@ -223,16 +234,98 @@ def sample_perturbation(
     return as_generator(rng).uniform(-d0, d0, n_s)
 
 
-def _one_bit_step_full(state, channel, spec, power, rng):
-    """one_bit_step plus the proposed phase vector (needed by trajectory recording)."""
-    delta = sample_perturbation(spec, channel.n_s, state.step_index, rng)
-    proposed = canonical_phases(state.theta + delta)
-    proposed_mag = measure_magnitude(channel, proposed, power, rng)
-    if proposed_mag > state.current_mag:
-        new_state = SearchState(proposed, proposed_mag, state.step_index + 1)
-        return new_state, FeedbackBit.KEEP, proposed_mag - state.current_mag, proposed
-    new_state = SearchState(state.theta, state.current_mag, state.step_index + 1)
-    return new_state, FeedbackBit.DISCARD, 0.0, proposed
+@dataclass
+class _Batch:
+    """Lockstep state of independent searches, one row per trial: the
+    accepted phases, their stored magnitude estimates and the steps taken."""
+
+    amps: np.ndarray
+    theta: np.ndarray
+    cur: np.ndarray
+    t: int = 0
+
+
+def _noise(rngs, power: PowerConfig, steps: int):
+    """Slot noise for ``steps`` measurements of every row, shape
+    (steps, rows, 2, k); ``steps`` Nones when noiseless."""
+    if power.sigma2 == 0.0:
+        return [None] * steps
+    shape = (steps, 2, power.averaging_slots)
+    return np.stack([rng.standard_normal(shape) for rng in rngs], axis=1)
+
+
+def _start(channels, init_mode, power: PowerConfig, rngs):
+    """The initial batch and the noise streams of its rows.
+
+    Each row draws its initial phases from its own generator. Measurement
+    noise, when on, comes from a child stream spawned from that generator's
+    seed sequence, so the perturbation stream is the same with and without
+    noise.
+    """
+    noise_rngs = [rng.spawn(1)[0] for rng in rngs] if power.sigma2 > 0 else None
+    theta = np.stack([_init_theta(ch, init_mode, rng) for ch, rng in zip(channels, rngs)])
+    amps = np.stack([ch.a for ch in channels])
+    cur = received_magnitude(amps, theta, power.P, power.sigma2, _noise(noise_rngs, power, 1)[0])
+    return _Batch(amps, theta, cur), noise_rngs
+
+
+def _lockstep(batch: _Batch, spec, power, stop: StopRule, opt, rngs, noise_rngs, accept=None):
+    """Advance ``batch`` in place by propose -> measure -> accept. Each step
+    yields its proposals, keep mask and increments (0 on discard).
+
+    Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]`` (one
+    call per chunk of up to ``_CHUNK`` steps; a scheduled step is its own
+    chunk), measures the proposal with slot noise from ``noise_rngs[k]``, and
+    keeps the move when ``accept(current, proposed)`` holds. Without a
+    predicate it keeps exactly when the proposed estimate strictly exceeds the
+    stored one. Steps run up to ``stop.max_steps``, or until every row meets
+    ``stop`` against its optimum ``opt``, checked at the start of each chunk.
+    """
+    n_s = batch.theta.shape[1]
+    n_sched = 0 if spec.schedule is None else len(spec.schedule)
+    while batch.t < stop.max_steps:
+        met = stop.met(batch.cur, opt)
+        if met is not None and met.all():
+            return
+        size = 1 if batch.t < n_sched else min(_CHUNK, stop.max_steps - batch.t)
+        d0 = spec.delta0_at(batch.t)
+        deltas = np.stack([rng.uniform(-d0, d0, (size, n_s)) for rng in rngs], axis=1)
+        noise = _noise(noise_rngs, power, size)
+        for i in range(size):
+            proposed = canonical_phases(batch.theta + deltas[i])
+            pm = received_magnitude(batch.amps, proposed, power.P, power.sigma2, noise[i])
+            cur = batch.cur
+            if accept is None:
+                keep = pm > cur
+            else:
+                keep = np.array([bool(accept(c, p)) for c, p in zip(cur.tolist(), pm.tolist())])
+                worse = keep & (pm < cur)
+                if power.sigma2 == 0.0 and worse.any():
+                    r = int(np.argmax(worse))
+                    raise DecisionMapViolation(
+                        f"decision map accepted a decrease at step {batch.t + 1}: "
+                        f"{cur[r].item()!r} -> {pm[r].item()!r}"
+                    )
+            inc = np.where(keep, pm - cur, 0.0)
+            np.copyto(batch.theta, proposed, where=keep[:, None])
+            np.copyto(cur, pm, where=keep)
+            batch.t += 1
+            yield proposed, keep, inc
+
+
+def _one_step(state, channel, spec, power, rng, accept):
+    """One kernel step of a single search; ``rng`` draws both the perturbation
+    and then the slot noise."""
+    rng = as_generator(rng)
+    batch = _Batch(channel.a, state.theta[None].copy(), np.array([state.current_mag]),
+                   state.step_index)
+    stop = StopRule.steps(state.step_index + 1)
+    _, keep, inc = next(_lockstep(batch, spec, power, stop, None, [rng], [rng], accept))
+    if keep[0]:
+        new_state = SearchState(batch.theta[0], float(batch.cur[0]), batch.t)
+        return new_state, FeedbackBit.KEEP, float(inc[0])
+    new_state = SearchState(state.theta, state.current_mag, batch.t)
+    return new_state, FeedbackBit.DISCARD, 0.0
 
 
 def one_bit_step(
@@ -249,10 +342,7 @@ def one_bit_step(
     discard and leave the phases untouched. Returns the new state, the
     feedback bit, and the magnitude increment (0 on discard).
     """
-    new_state, bit, inc, _ = _one_bit_step_full(
-        state, channel, spec, power, as_generator(rng)
-    )
-    return new_state, bit, inc
+    return _one_step(state, channel, spec, power, rng, None)
 
 
 def plug_decision_map(
@@ -266,21 +356,9 @@ def plug_decision_map(
     """
 
     def step(state, channel, spec, power, rng=None):
-        rng = as_generator(rng)
-        delta = sample_perturbation(spec, channel.n_s, state.step_index, rng)
-        proposed = canonical_phases(state.theta + delta)
-        proposed_mag = measure_magnitude(channel, proposed, power, rng)
-        if accept(state.current_mag, proposed_mag):
-            if power.sigma2 == 0.0 and proposed_mag < state.current_mag:
-                raise DecisionMapViolation(
-                    f"decision map accepted a decrease at step {state.step_index + 1}: "
-                    f"{state.current_mag!r} -> {proposed_mag!r}"
-                )
-            new_state = SearchState(proposed, proposed_mag, state.step_index + 1)
-            return new_state, FeedbackBit.KEEP, proposed_mag - state.current_mag
-        new_state = SearchState(state.theta, state.current_mag, state.step_index + 1)
-        return new_state, FeedbackBit.DISCARD, 0.0
+        return _one_step(state, channel, spec, power, rng, accept)
 
+    step.accept = accept
     return step
 
 
@@ -308,39 +386,37 @@ def run_trajectory(
 ) -> Trajectory:
     """Run the search until the stop rule fires or the step budget runs out.
 
+    This is the lockstep kernel on a single row. ``step_fn`` picks the
+    decision map: :func:`one_bit_step` (the default) or a step built by
+    :func:`plug_decision_map`. Measurement noise comes from a child stream
+    spawned from the seed, perturbations from the seed's own stream.
+
     The threshold (if any) is also checked at t=0, so an initial point already
     past it yields a zero-step trajectory. Exhausting the budget without
     convergence is reported via ``converged=False``, not an exception.
     Identical inputs and seed give a bit-identical trajectory.
     """
+    accept = getattr(step_fn, "accept", None)
+    if step_fn not in (None, one_bit_step) and accept is None:
+        raise TypeError("step_fn must be one_bit_step or built by plug_decision_map")
     rng = as_generator(seed)
-    state = init_state(channel, init_mode, power, rng)
-    initial_theta = state.theta
-    initial_mag = state.current_mag
+    batch, noise_rngs = _start([channel], init_mode, power, [rng])
+    initial_theta = batch.theta[0].copy()
+    initial_mag = float(batch.cur[0])
     opt = optimal_magnitude(channel, power.P)
 
-    bits: list[bool] = []
-    mags: list[float] = []
-    incs: list[float] = []
-    props: list[np.ndarray] = []
-    thetas: list[np.ndarray] = []
-
-    converged = stop.met(state.current_mag, opt)
-    while state.step_index < stop.max_steps and converged is not True:
-        if step_fn is None:
-            state, bit, inc, proposed = _one_bit_step_full(
-                state, channel, spec, power, rng
-            )
-        else:
-            state, bit, inc = step_fn(state, channel, spec, power, rng)
-            proposed = state.theta  # custom maps expose the proposal only on keep
-        bits.append(bit is FeedbackBit.KEEP)
-        mags.append(state.current_mag)
-        incs.append(inc)
+    bits, mags, incs, props, thetas = [], [], [], [], []
+    for proposed, keep, inc in _lockstep(
+        batch, spec, power, stop, opt, [rng], noise_rngs, accept
+    ):
+        bits.append(keep[0])
+        mags.append(batch.cur[0])
+        incs.append(inc[0])
         if record_thetas:
-            props.append(proposed)
-            thetas.append(state.theta)
-        converged = stop.met(state.current_mag, opt)
+            props.append(proposed[0])
+            thetas.append(batch.theta[0].copy())
+        if stop.met(float(batch.cur[0]), opt):
+            break  # the kernel checks only between chunks
 
     n = len(bits)
     return Trajectory(
@@ -351,11 +427,11 @@ def run_trajectory(
         seed_label=_seed_label(seed),
         initial_theta=initial_theta,
         initial_mag=initial_mag,
-        final_theta=state.theta,
+        final_theta=batch.theta[0],
         bits=np.asarray(bits, dtype=bool),
         mags=np.asarray(mags, dtype=float),
         increments=np.asarray(incs, dtype=float),
-        converged=converged,
+        converged=stop.met(float(batch.cur[0]), opt),
         proposed_thetas=np.asarray(props, dtype=float).reshape(n, channel.n_s)
         if record_thetas
         else None,

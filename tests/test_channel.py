@@ -148,6 +148,11 @@ def test_power_config_validation():
         PowerConfig(sigma2=-1.0)
     with pytest.raises(ValueError):
         PowerConfig(averaging_slots=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="P must"):
+            PowerConfig(P=bad)
+        with pytest.raises(ValueError, match="sigma2 must"):
+            PowerConfig(sigma2=bad)
     with pytest.raises(ValueError):
         magnitude(ChannelRealization(a=[1.0], phi=[0.0]), [0.0], P=0.0)
 

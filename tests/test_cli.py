@@ -61,6 +61,42 @@ def test_bad_value_exits_1_naming_key(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--P", "inf"),
+        ("--P", "nan"),
+        ("--sigma2", "inf"),
+        ("--sigma2", "nan"),
+        ("--delta0", "inf"),
+        ("--delta0", "1e308"),
+        ("--eps", "inf"),
+        ("--eps", "nan"),
+    ],
+)
+def test_non_finite_value_exits_1_naming_key(flag, value, tmp_path, capsys):
+    rc = parse_and_dispatch(
+        ["hitting-time", "--n-s", "4", "--trials", "2", flag, value,
+         "--out", str(tmp_path / "x")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{flag[2:]} must" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_noisy_summary_writes_plain_floats(tmp_path):
+    out = tmp_path / "noisy"
+    rc = parse_and_dispatch(
+        ["hitting-time", "--n-s", "10,20,30", "--trials", "4", "--sigma2", "0.001",
+         "--averaging-slots", "4", "--seed", "8", "--out", str(out)]
+    )
+    assert rc == 0
+    summary = dict(line.split("=", 1) for line in read(out / "summary.txt").splitlines())
+    assert 0.0 <= float(summary["increment_identity_max_dev"]) <= 1e-9
+
+
 def test_missing_config_exits_1(capsys, tmp_path):
     missing = tmp_path / "nope.cfg"
     assert parse_and_dispatch(["show-config", "--config", str(missing)]) == 1

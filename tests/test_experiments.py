@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distbeam import (
     ExperimentConfig,
@@ -27,7 +28,13 @@ from distbeam import (
     shared_channel_seed_sequence,
     trial_seed_sequence,
 )
-from distbeam.experiments import _run_trial_batch
+from distbeam.experiments import (
+    CHANNEL_POLICIES,
+    CONFIG_SCHEMA,
+    EXPERIMENT_KINDS,
+    INIT_MODES,
+    _run_lockstep,
+)
 
 
 def small_config(**kw):
@@ -84,6 +91,43 @@ def test_config_roundtrip_through_text():
     assert dump_config(again) == dump_config(cfg)
 
 
+_positive_finite = st.floats(min_value=1e-300, max_value=1e300)
+
+# one strategy per schema key, drawing only values the config accepts
+_KEY_VALUES = {
+    "kind": st.sampled_from(EXPERIMENT_KINDS),
+    "n_s": st.lists(st.integers(1, 10_000), min_size=1, max_size=5, unique=True).map(
+        lambda v: tuple(sorted(v))
+    ),
+    "trials": st.integers(1, 10**9),
+    "alpha": st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=4
+    ).map(tuple),
+    "eps": st.none() | _positive_finite,
+    "delta0": st.floats(min_value=0.0, max_value=math.pi, exclude_min=True),
+    "P": _positive_finite,
+    "sigma2": st.floats(min_value=0.0, max_value=1e300),
+    "averaging_slots": st.integers(1, 10**6),
+    "init_mode": st.sampled_from(INIT_MODES),
+    "channel_policy": st.sampled_from(CHANNEL_POLICIES),
+    "horizon": st.none() | st.integers(1, 10**12),
+    "master_seed": st.integers(0, 2**63),
+}
+
+
+def test_schema_strategies_cover_every_key():
+    assert list(_KEY_VALUES) == list(CONFIG_SCHEMA)
+
+
+@given(st.fixed_dictionaries(
+    {CONFIG_SCHEMA[key].field: values for key, values in _KEY_VALUES.items()}
+))
+@settings(max_examples=200, deadline=None)
+def test_config_text_roundtrip_for_any_valid_config(fields):
+    cfg = ExperimentConfig(**fields)
+    assert parse_config_text(dump_config(cfg)) == cfg
+
+
 def test_config_defaults_and_auto_horizon():
     cfg = ExperimentConfig()
     assert cfg.delta0 == pytest.approx(math.pi / 90)
@@ -110,9 +154,18 @@ def test_config_accepts_scalar_alpha():
         dict(alpha=(0.0,)),
         dict(alpha=(1.1,)),
         dict(eps=-1.0),
+        dict(eps=math.inf),
+        dict(eps=math.nan),
         dict(delta0=0.0),
+        dict(delta0=math.inf),
+        dict(delta0=1e308),
+        dict(delta0=math.nan),
         dict(P=0.0),
+        dict(P=math.inf),
+        dict(P=math.nan),
         dict(sigma2=-0.5),
+        dict(sigma2=math.inf),
+        dict(sigma2=math.nan),
         dict(averaging_slots=0),
         dict(init_mode="middle"),
         dict(channel_policy="sometimes"),
@@ -175,12 +228,23 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
     return curves, np.array(opts)
 
 
-@pytest.mark.parametrize("init_mode", ["origin", "uniform"])
-@pytest.mark.parametrize("policy", ["redrawn-per-trial", "fixed-across-trials"])
-def test_engine_matches_sequential_runs_exactly(init_mode, policy):
-    cfg = small_config(init_mode=init_mode, channel_policy=policy, trials=4)
+@pytest.mark.parametrize(
+    "policy,init_mode,sigma2",
+    [
+        pytest.param(policy, init_mode, sigma2,
+                     id=f"{policy}-{init_mode}" + ("-noisy" if sigma2 else ""))
+        for sigma2 in (0.0, 0.01)
+        for policy in ("redrawn-per-trial", "fixed-across-trials")
+        for init_mode in ("origin", "uniform")
+    ],
+)
+def test_engine_matches_sequential_runs_exactly(init_mode, policy, sigma2):
+    cfg = small_config(
+        init_mode=init_mode, channel_policy=policy, trials=4, sigma2=sigma2,
+        averaging_slots=2,
+    )
     horizon = 150
-    batch = _run_trial_batch(cfg, 6, horizon)
+    batch = _run_lockstep(cfg, 6, horizon)
     curves, opts = manual_trial_curves(cfg, 6, horizon)
     assert np.array_equal(batch.opt_mags, opts)
     for k in range(cfg.trials):
@@ -415,3 +479,5 @@ def test_noisy_fallback_has_same_result_shape():
     )
     res = estimate_hitting_time(cfg)
     assert res.points[0].mean_curve.shape == (41,)
+    # a plain float, whose repr is what summary.txt carries
+    assert type(res.increment_identity_max_dev) is float

@@ -102,6 +102,10 @@ def test_perturbation_spec_validation():
         PerturbationSpec(delta0=0.1, family="gaussian")
     with pytest.raises(ValueError):
         PerturbationSpec(delta0=0.1, schedule=(0.1, -0.1))
+    for bad in (math.pi + 1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta0"):
+            PerturbationSpec(delta0=bad)
+    assert PerturbationSpec(delta0=math.pi).delta0 == math.pi
 
 
 def test_step_keeps_only_strict_improvements():
@@ -248,13 +252,15 @@ def test_strict_greater_predicate_reproduces_one_bit_step():
     custom = plug_decision_map(lambda cur, prop: prop > cur)
     via_custom = run_trajectory(
         ch, spec, POWER, "zero", StopRule.steps(250), seed=17, step_fn=custom,
-        record_thetas=False,
     )
     via_default = run_trajectory(
-        ch, spec, POWER, "zero", StopRule.steps(250), seed=17, record_thetas=False,
+        ch, spec, POWER, "zero", StopRule.steps(250), seed=17,
     )
     assert np.array_equal(via_custom.mags, via_default.mags)
     assert np.array_equal(via_custom.bits, via_default.bits)
+    assert not via_default.bits.all()  # discards happen, so proposals matter
+    assert np.array_equal(via_custom.proposed_thetas, via_default.proposed_thetas)
+    assert np.array_equal(via_custom.thetas, via_default.thetas)
 
 
 def test_greater_or_equal_predicate_is_monotone_safe():
