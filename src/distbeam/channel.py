@@ -94,27 +94,47 @@ class PowerConfig:
             raise ValueError("averaging_slots must be >= 1")
 
 
-def received_magnitude(a, theta, P: float, sigma2: float = 0.0, noise=None) -> np.ndarray:
-    """The one coherent-sum formula behind :func:`magnitude`,
-    :func:`magnitude_batch`, :func:`measure_magnitude` and the search kernel,
-    applied over the last axis of ``theta``.
+def rotations(a, x) -> np.ndarray:
+    """e^{j(x_i - x_r)} over the last axis of ``x``, relative to its entry at
+    the strongest transmitter r = argmax a (one r per row of ``a``)."""
+    r = np.broadcast_to(np.argmax(a, axis=-1)[..., None], x.shape[:-1] + (1,))
+    out = np.empty(x.shape, dtype=complex)  # the differences wait in out.imag
+    rel = np.subtract(x, np.take_along_axis(x, r, axis=-1), out=out.imag)
+    np.cos(rel, out=out.real)
+    np.sin(rel, out=rel)
+    return out
 
-    Noiseless: sqrt(P) * |sum_i a_i e^{j theta_i}|. With ``noise`` (standard
-    normals of shape (..., 2, k): real parts, then imaginary parts), the mean
-    over k slots of |sqrt(P) sum_i a_i e^{j theta_i} + w| with w of variance
-    sigma2.
+
+def phasors(a, theta) -> np.ndarray:
+    """a_i e^{j(theta_i - theta_r)}. Their sum has the magnitude of sum_i a_i
+    e^{j theta_i} (shift invariance), and the term at r is exactly a_r + 0j."""
+    out = rotations(a, np.asarray(theta, dtype=float))
+    out *= a
+    return out
+
+
+def coherent_magnitude(total, P: float, sigma2: float = 0.0, noise=None) -> np.ndarray:
+    """The one formula behind every magnitude, from the sums ``total`` of
+    :func:`phasors` that :func:`received_magnitude` and the search kernel form.
+
+    Noiseless: sqrt(P) * |total|. With ``noise`` (standard normals of shape
+    (..., 2, k): real parts, then imaginary parts), the mean over k slots of
+    |sqrt(P) total + w| with w of variance sigma2.
     """
-    re = (a * np.cos(theta)).sum(axis=-1)
-    im = (a * np.sin(theta)).sum(axis=-1)
     sqrt_p = math.sqrt(P)
     if noise is None:
-        return sqrt_p * np.hypot(re, im)
+        return sqrt_p * np.abs(total)
     scale = math.sqrt(sigma2 / 2.0)
     slots = np.hypot(
-        sqrt_p * re[..., None] + scale * noise[..., 0, :],
-        sqrt_p * im[..., None] + scale * noise[..., 1, :],
+        sqrt_p * total.real[..., None] + scale * noise[..., 0, :],
+        sqrt_p * total.imag[..., None] + scale * noise[..., 1, :],
     )
     return slots.mean(axis=-1)
+
+
+def received_magnitude(a, theta, P: float, sigma2: float = 0.0, noise=None) -> np.ndarray:
+    """:func:`coherent_magnitude` of phases ``theta`` (over its last axis)."""
+    return coherent_magnitude(phasors(a, theta).sum(axis=-1), P, sigma2, noise)
 
 
 def _check_theta(channel: ChannelRealization, theta) -> np.ndarray:

@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel policy: {self.channel_policy!r}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
     def horizon_for(self, n_s: int) -> int:
         return self.horizon if self.horizon is not None else 200 * n_s
@@ -267,7 +269,10 @@ def _run_lockstep(
         else StopRule.alpha_fraction(stop_alpha, horizon)
     )
 
-    curves = np.empty((config.trials, horizon + 1))
+    try:
+        curves = np.empty((config.trials, horizon + 1))
+    except MemoryError:
+        raise ValueError(f"trials={config.trials} x horizon={horizon} curves exceed memory") from None
     curves[:, 0] = batch.cur
     inc_sum = np.zeros(config.trials)
     for _, _, inc in _lockstep(

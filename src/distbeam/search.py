@@ -26,12 +26,15 @@ from .channel import (
     SeedLike,
     as_generator,
     canonical_phases,
+    coherent_magnitude,
     measure_magnitude,
     optimal_magnitude,
-    received_magnitude,
+    phasors,
+    rotations,
 )
 
-_CHUNK = 256  # steps whose perturbations one generator call draws
+_CHUNK = 256  # most steps whose perturbations one generator call draws
+_CHUNK_VALUES = 1 << 17  # most random values one chunk draws across all rows
 
 
 class FeedbackBit(enum.Enum):
@@ -237,10 +240,12 @@ def sample_perturbation(
 @dataclass
 class _Batch:
     """Lockstep state of independent searches, one row per trial: the
-    accepted phases, their stored magnitude estimates and the steps taken."""
+    accepted phases (reduced to [0, 2pi) at chunk starts), their phasors,
+    the stored magnitude estimates and the steps taken."""
 
     amps: np.ndarray
     theta: np.ndarray
+    w: np.ndarray
     cur: np.ndarray
     t: int = 0
 
@@ -265,35 +270,43 @@ def _start(channels, init_mode, power: PowerConfig, rngs):
     noise_rngs = [rng.spawn(1)[0] for rng in rngs] if power.sigma2 > 0 else None
     theta = np.stack([_init_theta(ch, init_mode, rng) for ch, rng in zip(channels, rngs)])
     amps = np.stack([ch.a for ch in channels])
-    cur = received_magnitude(amps, theta, power.P, power.sigma2, _noise(noise_rngs, power, 1)[0])
-    return _Batch(amps, theta, cur), noise_rngs
+    w = phasors(amps, theta)
+    cur = coherent_magnitude(w.sum(axis=1), power.P, power.sigma2, _noise(noise_rngs, power, 1)[0])
+    return _Batch(amps, theta, w, cur), noise_rngs
 
 
 def _lockstep(batch: _Batch, spec, power, stop: StopRule, opt, rngs, noise_rngs, accept=None):
     """Advance ``batch`` in place by propose -> measure -> accept. Each step
-    yields its proposals, keep mask and increments (0 on discard).
+    yields its perturbations, keep mask and increments (0 on discard).
 
-    Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]`` (one
-    call per chunk of up to ``_CHUNK`` steps; a scheduled step is its own
-    chunk), measures the proposal with slot noise from ``noise_rngs[k]``, and
-    keeps the move when ``accept(current, proposed)`` holds. Without a
-    predicate it keeps exactly when the proposed estimate strictly exceeds the
-    stored one. Steps run up to ``stop.max_steps``, or until every row meets
-    ``stop`` against its optimum ``opt``, checked at the start of each chunk.
+    Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]``,
+    measures the proposal with slot noise from ``noise_rngs[k]``, and keeps
+    the move when ``accept(current, proposed)`` holds. Without a predicate it
+    keeps exactly when the proposed estimate strictly exceeds the stored one.
+    Steps run up to ``stop.max_steps``, or until every row meets ``stop``
+    against its optimum ``opt``, checked at the start of each chunk.
+
+    A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
+    rows (a scheduled step is its own chunk); chunking leaves the streams as
+    they are. Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}.
     """
-    n_s = batch.theta.shape[1]
+    rows, n_s = batch.theta.shape
+    slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
+    size_cap = min(_CHUNK, max(1, _CHUNK_VALUES // (rows * (n_s + slots))))
     n_sched = 0 if spec.schedule is None else len(spec.schedule)
     while batch.t < stop.max_steps:
         met = stop.met(batch.cur, opt)
         if met is not None and met.all():
             return
-        size = 1 if batch.t < n_sched else min(_CHUNK, stop.max_steps - batch.t)
+        size = 1 if batch.t < n_sched else min(size_cap, stop.max_steps - batch.t)
         d0 = spec.delta0_at(batch.t)
         deltas = np.stack([rng.uniform(-d0, d0, (size, n_s)) for rng in rngs], axis=1)
+        turns = rotations(batch.amps, deltas)
         noise = _noise(noise_rngs, power, size)
+        batch.theta = canonical_phases(batch.theta)
         for i in range(size):
-            proposed = canonical_phases(batch.theta + deltas[i])
-            pm = received_magnitude(batch.amps, proposed, power.P, power.sigma2, noise[i])
+            proposed = batch.w * turns[i]
+            pm = coherent_magnitude(proposed.sum(axis=1), power.P, power.sigma2, noise[i])
             cur = batch.cur
             if accept is None:
                 keep = pm > cur
@@ -307,22 +320,24 @@ def _lockstep(batch: _Batch, spec, power, stop: StopRule, opt, rngs, noise_rngs,
                         f"{cur[r].item()!r} -> {pm[r].item()!r}"
                     )
             inc = np.where(keep, pm - cur, 0.0)
-            np.copyto(batch.theta, proposed, where=keep[:, None])
+            np.copyto(batch.w, proposed, where=keep[:, None])
+            np.add(batch.theta, deltas[i], out=batch.theta, where=keep[:, None])
             np.copyto(cur, pm, where=keep)
             batch.t += 1
-            yield proposed, keep, inc
+            yield deltas[i], keep, inc
 
 
 def _one_step(state, channel, spec, power, rng, accept):
     """One kernel step of a single search; ``rng`` draws both the perturbation
     and then the slot noise."""
     rng = as_generator(rng)
-    batch = _Batch(channel.a, state.theta[None].copy(), np.array([state.current_mag]),
+    amps, theta = channel.a[None], state.theta[None].copy()
+    batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
                    state.step_index)
     stop = StopRule.steps(state.step_index + 1)
     _, keep, inc = next(_lockstep(batch, spec, power, stop, None, [rng], [rng], accept))
     if keep[0]:
-        new_state = SearchState(batch.theta[0], float(batch.cur[0]), batch.t)
+        new_state = SearchState(canonical_phases(batch.theta[0]), float(batch.cur[0]), batch.t)
         return new_state, FeedbackBit.KEEP, float(inc[0])
     new_state = SearchState(state.theta, state.current_mag, batch.t)
     return new_state, FeedbackBit.DISCARD, 0.0
@@ -406,15 +421,15 @@ def run_trajectory(
     opt = optimal_magnitude(channel, power.P)
 
     bits, mags, incs, props, thetas = [], [], [], [], []
-    for proposed, keep, inc in _lockstep(
+    for delta, keep, inc in _lockstep(
         batch, spec, power, stop, opt, [rng], noise_rngs, accept
     ):
         bits.append(keep[0])
         mags.append(batch.cur[0])
         incs.append(inc[0])
         if record_thetas:
-            props.append(proposed[0])
-            thetas.append(batch.theta[0].copy())
+            thetas.append(canonical_phases(batch.theta[0]))
+            props.append(thetas[-1] if keep[0] else canonical_phases(batch.theta[0] + delta[0]))
         if stop.met(float(batch.cur[0]), opt):
             break  # the kernel checks only between chunks
 
@@ -427,7 +442,7 @@ def run_trajectory(
         seed_label=_seed_label(seed),
         initial_theta=initial_theta,
         initial_mag=initial_mag,
-        final_theta=batch.theta[0],
+        final_theta=canonical_phases(batch.theta[0]),
         bits=np.asarray(bits, dtype=bool),
         mags=np.asarray(mags, dtype=float),
         increments=np.asarray(incs, dtype=float),

@@ -86,6 +86,29 @@ def test_non_finite_value_exits_1_naming_key(flag, value, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_negative_seed_exits_1_naming_key(tmp_path, capsys):
+    rc = parse_and_dispatch(
+        ["hitting-time", "--n-s", "4", "--trials", "2", "--seed", "-1",
+         "--out", str(tmp_path / "x")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "master_seed must" in err
+    assert "Traceback" not in err
+
+
+def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
+    rc = parse_and_dispatch(
+        ["hitting-time", "--n-s", "4", "--trials", "2", "--horizon", "100000000000",
+         "--out", str(tmp_path / "x")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "trials=2" in err and "horizon=100000000000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_noisy_summary_writes_plain_floats(tmp_path):
     out = tmp_path / "noisy"
     rc = parse_and_dispatch(

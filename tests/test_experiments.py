@@ -35,6 +35,7 @@ from distbeam.experiments import (
     INIT_MODES,
     _run_lockstep,
 )
+from distbeam.search import _CHUNK, _CHUNK_VALUES
 
 
 def small_config(**kw):
@@ -170,6 +171,7 @@ def test_config_accepts_scalar_alpha():
         dict(init_mode="middle"),
         dict(channel_policy="sometimes"),
         dict(horizon=0),
+        dict(master_seed=-1),
     ],
 )
 def test_config_validation(kw):
@@ -229,26 +231,37 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
 
 
 @pytest.mark.parametrize(
-    "policy,init_mode,sigma2",
+    "policy,init_mode,sigma2,trials,n_s",
     [
-        pytest.param(policy, init_mode, sigma2,
+        pytest.param(policy, init_mode, sigma2, 4, 6,
                      id=f"{policy}-{init_mode}" + ("-noisy" if sigma2 else ""))
         for sigma2 in (0.0, 0.01)
         for policy in ("redrawn-per-trial", "fixed-across-trials")
         for init_mode in ("origin", "uniform")
+    ]
+    + [
+        # the batch's chunks are cut by the value budget, a lone trajectory's are not
+        pytest.param("redrawn-per-trial", "origin", sigma2, 64, 100,
+                     id="redrawn-per-trial-origin-budget" + ("-noisy" if sigma2 else ""))
+        for sigma2 in (0.0, 0.01)
     ],
 )
-def test_engine_matches_sequential_runs_exactly(init_mode, policy, sigma2):
+def test_engine_matches_sequential_runs_exactly(init_mode, policy, sigma2, trials, n_s):
     cfg = small_config(
-        init_mode=init_mode, channel_policy=policy, trials=4, sigma2=sigma2,
-        averaging_slots=2,
+        init_mode=init_mode, channel_policy=policy, trials=trials, sigma2=sigma2,
+        averaging_slots=2, n_s_values=(n_s,),
     )
     horizon = 150
-    batch = _run_lockstep(cfg, 6, horizon)
-    curves, opts = manual_trial_curves(cfg, 6, horizon)
+    batch = _run_lockstep(cfg, n_s, horizon)
+    curves, opts = manual_trial_curves(cfg, n_s, horizon)
     assert np.array_equal(batch.opt_mags, opts)
     for k in range(cfg.trials):
         assert np.array_equal(batch.curves[k], curves[k])
+
+
+def test_budget_case_cuts_chunks():
+    # the -budget cases above draw fewer steps per chunk than a lone trajectory
+    assert _CHUNK_VALUES // (64 * 100) < min(_CHUNK, 150) <= _CHUNK_VALUES // 100
 
 
 def test_engine_first_passages_match_sequential_alpha_stop():

@@ -274,6 +274,38 @@ def test_greater_or_equal_predicate_is_monotone_safe():
     assert np.all(np.diff(traj.magnitudes()) == 0)
 
 
+@pytest.mark.parametrize("delta0", [0.2, math.pi / 90, math.pi], ids=["0.2", "pi/90", "pi"])
+@pytest.mark.parametrize("amps", [[2.0], [0.0, 2.0], [2.0, 0.0]], ids=["2", "0,2", "2,0"])
+def test_one_nonzero_transmitter_ties_exactly(amps, delta0):
+    # the strongest transmitter is the phasor frame's reference, so every
+    # proposal measures exactly the initial magnitude
+    ch = ChannelRealization(a=amps, phi=[1.0] * len(amps))
+    spec, stop = PerturbationSpec(delta0=delta0), StopRule.steps(2000)
+    strict = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3, record_thetas=False)
+    assert not strict.bits.any()
+    step = plug_decision_map(lambda cur, prop: prop >= cur)
+    ge = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3, step_fn=step,
+                        record_thetas=False)
+    assert ge.bits.all()
+    assert np.all(ge.magnitudes() == ge.initial_mag)
+
+
+@pytest.mark.parametrize("delta0", [math.pi / 90, math.pi / 30, math.pi],
+                         ids=["pi/90", "pi/30", "pi"])
+@pytest.mark.parametrize("n_s", [2, 10, 100])
+def test_kernel_magnitudes_match_direct_formula(n_s, delta0):
+    ch = generate_channel(n_s, np.random.default_rng(n_s))
+    traj = run_trajectory(
+        ch, PerturbationSpec(delta0=delta0), POWER, "uniform", StopRule.steps(2000), seed=7,
+    )
+    tol = 1e-12 * optimal_magnitude(ch, 1.0)
+    direct = np.array([magnitude(ch, theta, 1.0) for theta in traj.thetas])
+    assert np.max(np.abs(traj.mags - direct)) <= tol
+    for thetas in (traj.thetas, traj.proposed_thetas):
+        assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
+    assert np.array_equal(traj.final_theta, traj.thetas[-1])
+
+
 def test_always_accept_violates_contract():
     ch = generate_channel(4, np.random.default_rng(5))
     step = plug_decision_map(lambda cur, prop: True)
