@@ -2,18 +2,16 @@
 
 One subcommand per experiment plus verification checks and config
 inspection. Exit codes: 0 success, 1 config/usage error (the message names
-the offending key), 2 runtime flag (a check failed, a hitting time was
-unresolved within the horizon, or a first-passage mean had every run
-censored).
+the offending key) or out of memory (the message names the run's sizes), 2
+runtime flag (a check failed, a hitting time was unresolved within the
+horizon, or a first-passage mean had every run censored).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +44,7 @@ from .oracle import (
     verify_monotone_and_increment,
     verify_shift_invariance,
 )
-from .search import PerturbationSpec, StopRule, run_trajectory
+from .search import StopRule, run_trajectory
 
 VERIFY_CHECKS = ("shift-invariance", "local-global", "improvement", "increment")
 
@@ -60,91 +58,45 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class CliInvocation:
-    """One parsed command: the subcommand, where config comes from and goes
-    to, the seed override, and raw config-key overrides."""
-
-    subcommand: str
-    config_path: str | None
-    out_dir: str
-    seed_override: int | None
-    overrides: dict[str, str] = field(default_factory=dict)
-    runs: int = 3
-    check: str = "shift-invariance"
-    resolution: int = 720
-    samples: int = 100_000
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="distbeam", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add(name, doc):
+        p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the master seed")
         for key in CONFIG_SCHEMA:
             if key != "kind":  # kind comes from the subcommand
-                p.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", metavar="VALUE")
+                alias = ["--seed"] if key == "master_seed" else []
+                p.add_argument("--" + key.replace("_", "-"), *alias, dest=f"cfg_{key}",
+                               metavar="VALUE")
+        if name in EXPERIMENT_KINDS:
+            p.set_defaults(cfg_kind=name)
+        return p
 
-    p = sub.add_parser("sample-path", help="trajectories from random initial points over one fixed channel")
-    add_common(p)
+    p = add("sample-path", "trajectories from random initial points over one fixed channel")
     p.add_argument("--runs", type=int, default=3, help="number of sample paths")
-
-    for name, doc in (
-        ("hitting-time", "time for the mean magnitude to reach alpha times the mean optimum, per n_s"),
-        ("avg-convergence", "mean per-run first-passage time to alpha times the optimum, per n_s"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        add_common(p)
-
-    p = sub.add_parser("verify", help="run a verification check on a generated channel")
-    add_common(p)
+    add("hitting-time", "time for the mean magnitude to reach alpha times the mean optimum, per n_s")
+    add("avg-convergence", "mean per-run first-passage time to alpha times the optimum, per n_s")
+    p = add("verify", "run a verification check on a generated channel")
     p.add_argument("--check", choices=VERIFY_CHECKS, default="shift-invariance")
     p.add_argument("--resolution", type=int, default=720, help="grid resolution for local-global")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples for improvement")
-
-    p = sub.add_parser("show-config", help="print the materialized config")
-    add_common(p)
+    add("show-config", "print the materialized config")
     return parser
 
 
-def _invocation_from_args(args) -> CliInvocation:
-    overrides = {
+def _resolve_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the subcommand's kind and every
+    given flag applied in one validating pass."""
+    items = {
         key: value
         for key in CONFIG_SCHEMA
         if (value := getattr(args, f"cfg_{key}", None)) is not None
     }
-    return CliInvocation(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        out_dir=args.out,
-        seed_override=args.seed,
-        overrides=overrides,
-        runs=getattr(args, "runs", 3),
-        check=getattr(args, "check", "shift-invariance"),
-        resolution=getattr(args, "resolution", 720),
-        samples=getattr(args, "samples", 100_000),
-    )
-
-
-def _resolve_config(inv: CliInvocation) -> ExperimentConfig:
-    if inv.config_path is not None:
-        config = load_config(inv.config_path)
-    else:
-        config = ExperimentConfig()
-    if inv.subcommand in EXPERIMENT_KINDS:
-        config = dataclasses.replace(config, kind=inv.subcommand)
-    if inv.overrides:
-        config = config_from_items(inv.overrides, base=config)
-    if inv.seed_override is not None:
-        config = dataclasses.replace(config, master_seed=inv.seed_override)
-    return config
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    base = load_config(args.config) if args.config is not None else None
+    return config_from_items(items, base=base)
 
 
 def emit_reproduction_bundle(
@@ -169,7 +121,7 @@ def emit_reproduction_bundle(
         "files": ",".join(sorted(files)),
     }
     for name in sorted(files):
-        manifest[f"sha256.{name}"] = _sha256(files[name])
+        manifest[f"sha256.{name}"] = hashlib.sha256(files[name].encode("utf-8")).hexdigest()
     with open(outdir / "manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
         for key, value in manifest.items():
             fh.write(f"{key}={value}\n")
@@ -180,13 +132,13 @@ def _summary_text(fields: dict) -> str:
     return "".join(f"{k}={v}\n" for k, v in fields.items())
 
 
-def _run_sample_path(inv: CliInvocation, config: ExperimentConfig) -> int:
-    trajectories = run_sample_paths(config, inv.runs)
+def _run_sample_path(args, config: ExperimentConfig) -> int:
+    trajectories = run_sample_paths(config, args.runs)
     reached = sum(t.converged is True for t in trajectories)
     summary = _summary_text(
         {
             "subcommand": "sample-path",
-            "runs": inv.runs,
+            "runs": args.runs,
             "n_s": config.n_s_values[0],
             "steps": ",".join(str(t.n_steps) for t in trajectories),
             "final_mags": ",".join(repr(t.final_mag) for t in trajectories),
@@ -195,18 +147,18 @@ def _run_sample_path(inv: CliInvocation, config: ExperimentConfig) -> int:
     emit_reproduction_bundle(
         config,
         {"sample_paths.csv": sample_paths_csv(trajectories), "summary.txt": summary},
-        inv.out_dir,
+        args.out,
     )
     print(
-        f"sample-path: {inv.runs} runs, n_s={config.n_s_values[0]}, "
-        f"wrote {inv.out_dir}/sample_paths.csv"
+        f"sample-path: {args.runs} runs, n_s={config.n_s_values[0]}, "
+        f"wrote {args.out}/sample_paths.csv"
     )
-    if config.eps is not None and reached < inv.runs:
+    if config.eps is not None and reached < args.runs:
         return 2
     return 0
 
 
-def _run_hitting_time(inv: CliInvocation, config: ExperimentConfig) -> int:
+def _run_hitting_time(args, config: ExperimentConfig) -> int:
     results = run_hitting_time_sweep(config)
     unresolved = sum(p.hitting_time is None for r in results for p in r.points)
     summary = _summary_text(
@@ -222,16 +174,16 @@ def _run_hitting_time(inv: CliInvocation, config: ExperimentConfig) -> int:
     emit_reproduction_bundle(
         config,
         {"hitting_time.csv": hitting_time_csv(results), "summary.txt": summary},
-        inv.out_dir,
+        args.out,
     )
     print(
         f"hitting-time: {len(results)} alphas x {len(config.n_s_values)} n_s, "
-        f"{unresolved} unresolved, wrote {inv.out_dir}/hitting_time.csv"
+        f"{unresolved} unresolved, wrote {args.out}/hitting_time.csv"
     )
     return 2 if unresolved else 0
 
 
-def _run_avg_convergence(inv: CliInvocation, config: ExperimentConfig) -> int:
+def _run_avg_convergence(args, config: ExperimentConfig) -> int:
     results = run_avg_convergence_sweep(config)
     censored = sum(p.censored for r in results for p in r.points)
     empty = sum(p.trials == 0 for r in results for p in r.points)
@@ -248,46 +200,44 @@ def _run_avg_convergence(inv: CliInvocation, config: ExperimentConfig) -> int:
     emit_reproduction_bundle(
         config,
         {"avg_convergence.csv": avg_convergence_csv(results), "summary.txt": summary},
-        inv.out_dir,
+        args.out,
     )
     print(
         f"avg-convergence: {len(results)} alphas x {len(config.n_s_values)} n_s, "
-        f"{censored} censored, wrote {inv.out_dir}/avg_convergence.csv"
+        f"{censored} censored, wrote {args.out}/avg_convergence.csv"
     )
     return 2 if empty else 0
 
 
-def _run_verify(inv: CliInvocation, config: ExperimentConfig) -> int:
+def _run_verify(args, config: ExperimentConfig) -> int:
     n_s = config.n_s_values[0]
     rng = np.random.default_rng(config.master_seed)
     channel = generate_channel(n_s, rng)
-    if inv.check == "shift-invariance":
+    if args.check == "shift-invariance":
         report = verify_shift_invariance(channel, config.P, trials=1000, rng=rng)
-    elif inv.check == "local-global":
+    elif args.check == "local-global":
         report = verify_local_equals_global(
-            channel, config.P, GridSpec(resolution=inv.resolution, n_s=n_s)
+            channel, config.P, GridSpec(resolution=args.resolution, n_s=n_s)
         )
-    elif inv.check == "improvement":
+    elif args.check == "improvement":
         eps = 0.1 * optimal_magnitude(channel, config.P)
-        theta = None
         for _ in range(10_000):
-            candidate = rng.uniform(0.0, TWO_PI, n_s)
-            if not epsilon_region_contains(channel, candidate, config.P, eps):
-                theta = candidate
+            theta = rng.uniform(0.0, TWO_PI, n_s)
+            if not epsilon_region_contains(channel, theta, config.P, eps):
                 break
-        if theta is None:
+        else:
             raise ValueError(
                 "no probe point outside the eps region found; with n_s=1 every "
                 "phase vector is optimal, pick a larger n_s"
             )
         report = estimate_improvement_probability(
             channel, theta, config.P, config.delta0, eps=eps,
-            samples=inv.samples, rng=rng,
+            samples=args.samples, rng=rng,
         )
     else:  # increment
         traj = run_trajectory(
             channel,
-            PerturbationSpec(delta0=config.delta0),
+            config.perturbation(),
             PowerConfig(P=config.P),
             "zero",
             StopRule.steps(config.horizon_for(n_s)),
@@ -297,37 +247,51 @@ def _run_verify(inv: CliInvocation, config: ExperimentConfig) -> int:
         report = verify_monotone_and_increment(traj)
     text = report.to_text()
     print(text, end="")
-    outdir = Path(inv.out_dir)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / f"verify_{inv.check}.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with open(outdir / f"verify_{args.check}.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return 0 if report.passed else 2
 
 
+_RUNNERS = {
+    "sample-path": _run_sample_path,
+    "hitting-time": _run_hitting_time,
+    "avg-convergence": _run_avg_convergence,
+    "verify": _run_verify,
+}
+
+
+def _sizes(args, config: ExperimentConfig) -> str:
+    """The sizes a run allocates by, as key=value: the config's n_s, trials
+    and horizon, then the subcommand's own size flags."""
+    sizes = {key: CONFIG_SCHEMA[key].format(getattr(config, CONFIG_SCHEMA[key].field))
+             for key in ("n_s", "trials", "horizon")}
+    sizes.update((name, getattr(args, name)) for name in ("runs", "samples", "resolution")
+                 if hasattr(args, name))
+    return " ".join(f"{k}={v}" for k, v in sizes.items())
+
+
 def parse_and_dispatch(argv: list[str]) -> int:
     """Parse argv, run the subcommand, write outputs; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        inv = _invocation_from_args(args)
-        config = _resolve_config(inv)
-        if inv.subcommand == "show-config":
+        args = _build_parser().parse_args(argv)
+        config = _resolve_config(args)
+        if args.subcommand == "show-config":
             print(dump_config(config), end="")
             return 0
-        if inv.subcommand == "sample-path":
-            return _run_sample_path(inv, config)
-        if inv.subcommand == "hitting-time":
-            return _run_hitting_time(inv, config)
-        if inv.subcommand == "avg-convergence":
-            return _run_avg_convergence(inv, config)
-        return _run_verify(inv, config)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _RUNNERS[args.subcommand](args, config)
+    except (_UsageError, ValueError, OSError) as exc:
+        message = str(exc)
+    except MemoryError:
+        message = f"out of memory at {_sizes(args, config)}"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:
     sys.exit(parse_and_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

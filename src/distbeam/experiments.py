@@ -81,7 +81,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind: {self.kind!r}")
+            raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         ns = tuple(int(n) for n in np.atleast_1d(np.asarray(self.n_s_values)))
         if not ns:
             raise ValueError("n_s list must be non-empty")
@@ -106,9 +106,11 @@ class ExperimentConfig:
         self.power()  # checks P, sigma2 and averaging_slots
         self.perturbation()  # checks delta0
         if self.init_mode not in INIT_MODES:
-            raise ValueError(f"unknown init mode: {self.init_mode!r}")
+            raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if self.channel_policy not in CHANNEL_POLICIES:
-            raise ValueError(f"unknown channel policy: {self.channel_policy!r}")
+            raise ValueError(
+                f"channel_policy must be one of {CHANNEL_POLICIES}, got {self.channel_policy!r}"
+            )
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.master_seed < 0:
@@ -269,10 +271,7 @@ def _run_lockstep(
         else StopRule.alpha_fraction(stop_alpha, horizon)
     )
 
-    try:
-        curves = np.empty((config.trials, horizon + 1))
-    except MemoryError:
-        raise ValueError(f"trials={config.trials} x horizon={horizon} curves exceed memory") from None
+    curves = np.empty((config.trials, horizon + 1))
     curves[:, 0] = batch.cur
     inc_sum = np.zeros(config.trials)
     for _, _, inc in _lockstep(

@@ -1,10 +1,27 @@
+import contextlib
+import io
 import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import distbeam
 from distbeam import parse_and_dispatch, parse_config_text
 from distbeam.cli import emit_reproduction_bundle
-from distbeam.experiments import ExperimentConfig, dump_config
+from distbeam.experiments import (
+    CHANNEL_POLICIES,
+    CONFIG_SCHEMA,
+    EXPERIMENT_KINDS,
+    INIT_MODES,
+    ExperimentConfig,
+    dump_config,
+)
 
 
 def read(path):
@@ -107,6 +124,123 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
     assert "trials=2" in err and "horizon=100000000000" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["verify", "--check", "improvement", "--n-s", "10",
+          "--samples", "1000000000000000"], "samples=1000000000000000"),
+        (["hitting-time", "--n-s", "1000000000000000", "--trials", "1",
+          "--horizon", "1"], "n_s=1000000000000000"),
+    ],
+    ids=["samples", "n_s"],
+)
+def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
+    # 10^15 elements exceed a 48-bit address space, so allocation fails at once
+    rc = parse_and_dispatch(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,seed",
+    [
+        (["--seed", "4"], 4),
+        (["--master-seed", "4"], 4),
+        (["--seed", "4", "--master-seed", "5"], 5),
+        (["--master-seed", "5", "--seed", "4"], 4),
+    ],
+)
+def test_seed_is_another_spelling_of_master_seed(flags, seed, tmp_path, capsys):
+    cfg_file = tmp_path / "base.cfg"
+    cfg_file.write_text("master_seed=3\n", encoding="utf-8")
+    assert parse_and_dispatch(["show-config", "--config", str(cfg_file), *flags]) == 0
+    assert parse_config_text(capsys.readouterr().out).master_seed == seed
+
+
+def test_bad_seed_exits_1_naming_master_seed(capsys):
+    assert parse_and_dispatch(["show-config", "--seed", "x"]) == 1
+    err = capsys.readouterr().err
+    assert "bad value for config key 'master_seed'" in err
+    assert "Traceback" not in err
+
+
+def _run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(distbeam.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "distbeam.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    ok = _run_module("show-config", "--seed", "4")
+    assert ok.returncode == 0
+    assert "master_seed=4\n" in ok.stdout
+    bad = _run_module("hitting-time", "--seed", "-1", "--out", str(tmp_path / "x"))
+    assert bad.returncode == 1
+    assert "master_seed" in bad.stderr
+    assert "Traceback" not in bad.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def _not_in(choices):
+    text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
+    return text.filter(lambda t: t.strip() not in choices)
+
+
+def _floats_outside(ok):
+    return st.floats().filter(lambda v: not ok(v)).map(repr)
+
+
+_garbage = st.text(alphabet="xyzq", min_size=1)
+_non_positive = st.integers(max_value=0).map(str)
+
+# one strategy per schema key, drawing only values the config rejects
+_INVALID_VALUES = {
+    "kind": _not_in(EXPERIMENT_KINDS),
+    "n_s": _garbage | _non_positive | st.integers(1, 100).map(lambda n: f"{n},{n}"),
+    "trials": _garbage | _non_positive,
+    "alpha": _garbage | _floats_outside(lambda a: 0 < a <= 1),
+    "eps": _garbage | _floats_outside(lambda e: 0 < e < math.inf),
+    "delta0": _garbage | _floats_outside(lambda d: 0 < d <= math.pi),
+    "P": _garbage | _floats_outside(lambda p: 0 < p < math.inf),
+    "sigma2": _garbage | _floats_outside(lambda s: 0 <= s < math.inf),
+    "averaging_slots": _garbage | _non_positive,
+    "init_mode": _not_in(INIT_MODES),
+    "channel_policy": _not_in(CHANNEL_POLICIES),
+    "horizon": _garbage | _non_positive,
+    "master_seed": _garbage | st.integers(max_value=-1).map(str),
+}
+
+
+def test_invalid_strategies_cover_every_key():
+    assert list(_INVALID_VALUES) == list(CONFIG_SCHEMA)
+
+
+@given(st.sampled_from(list(CONFIG_SCHEMA)).flatmap(
+    lambda key: st.tuples(st.just(key), _INVALID_VALUES[key])
+))
+@settings(max_examples=200, deadline=None)
+def test_any_invalid_value_exits_1_naming_key(key_value):
+    key, value = key_value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        if key == "kind":  # kind has no flag, only a config-file line
+            cfg_file = Path(tmp) / "bad.cfg"
+            cfg_file.write_text(f"kind={value}\n", encoding="utf-8")
+            rc = parse_and_dispatch(["show-config", "--config", str(cfg_file)])
+        else:
+            rc = parse_and_dispatch(["show-config", f"--{key.replace('_', '-')}={value}"])
+    assert rc == 1
+    assert re.search(rf"\b{key}\b", err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_noisy_summary_writes_plain_floats(tmp_path):

@@ -259,6 +259,31 @@ def test_engine_matches_sequential_runs_exactly(init_mode, policy, sigma2, trial
         assert np.array_equal(batch.curves[k], curves[k])
 
 
+@given(
+    n_s=st.integers(1, 8),
+    trials=st.integers(1, 5),
+    delta0=st.floats(0.0, math.pi, exclude_min=True),
+    init_mode=st.sampled_from(INIT_MODES),
+    policy=st.sampled_from(CHANNEL_POLICIES),
+    sigma2=st.sampled_from((0.0, 0.01)),
+    horizon=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_sequential_runs_for_random_configs(
+    n_s, trials, delta0, init_mode, policy, sigma2, horizon, seed
+):
+    cfg = small_config(
+        init_mode=init_mode, channel_policy=policy, trials=trials, sigma2=sigma2,
+        averaging_slots=2, n_s_values=(n_s,), delta0=delta0, master_seed=seed,
+    )
+    batch = _run_lockstep(cfg, n_s, horizon)
+    curves, opts = manual_trial_curves(cfg, n_s, horizon)
+    assert np.array_equal(batch.opt_mags, opts)
+    for k in range(trials):
+        assert np.array_equal(batch.curves[k], curves[k])
+
+
 def test_budget_case_cuts_chunks():
     # the -budget cases above draw fewer steps per chunk than a lone trajectory
     assert _CHUNK_VALUES // (64 * 100) < min(_CHUNK, 150) <= _CHUNK_VALUES // 100
