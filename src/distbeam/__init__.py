@@ -28,12 +28,9 @@ from .experiments import (
     HittingTimeResult,
     avg_convergence_csv,
     dump_config,
-    estimate_avg_convergence_time,
-    estimate_hitting_time,
     hitting_time_csv,
     linear_fit,
     load_config,
-    mean_magnitude_curve,
     parse_angle,
     parse_config_text,
     run_avg_convergence_sweep,
@@ -59,7 +56,6 @@ from .search import (
     FeedbackBit,
     PerturbationSpec,
     SearchState,
-    StepRecord,
     StopRule,
     Trajectory,
     init_state,
@@ -67,7 +63,6 @@ from .search import (
     plug_decision_map,
     run_trajectory,
     sample_perturbation,
-    trajectory_to_csv,
 )
 
 __version__ = "0.1.0"

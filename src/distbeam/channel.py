@@ -71,10 +71,6 @@ class ChannelRealization:
     def n_s(self) -> int:
         return self.a.shape[0]
 
-    def gains(self) -> list[tuple[float, float]]:
-        """(amplitude, phase) pairs, one per transmitter."""
-        return list(zip(self.a.tolist(), self.phi.tolist()))
-
 
 @dataclass(frozen=True)
 class PowerConfig:

@@ -31,6 +31,7 @@ from .experiments import (
     config_from_items,
     dump_config,
     hitting_time_csv,
+    key_value_text,
     load_config,
     run_avg_convergence_sweep,
     run_hitting_time_sweep,
@@ -123,19 +124,14 @@ def emit_reproduction_bundle(
     for name in sorted(files):
         manifest[f"sha256.{name}"] = hashlib.sha256(files[name].encode("utf-8")).hexdigest()
     with open(outdir / "manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in manifest.items():
-            fh.write(f"{key}={value}\n")
+        fh.write(key_value_text(manifest))
     return manifest
-
-
-def _summary_text(fields: dict) -> str:
-    return "".join(f"{k}={v}\n" for k, v in fields.items())
 
 
 def _run_sample_path(args, config: ExperimentConfig) -> int:
     trajectories = run_sample_paths(config, args.runs)
     reached = sum(t.converged is True for t in trajectories)
-    summary = _summary_text(
+    summary = key_value_text(
         {
             "subcommand": "sample-path",
             "runs": args.runs,
@@ -161,7 +157,7 @@ def _run_sample_path(args, config: ExperimentConfig) -> int:
 def _run_hitting_time(args, config: ExperimentConfig) -> int:
     results = run_hitting_time_sweep(config)
     unresolved = sum(p.hitting_time is None for r in results for p in r.points)
-    summary = _summary_text(
+    summary = key_value_text(
         {
             "subcommand": "hitting-time",
             "alphas": ",".join(repr(a) for a in config.alpha),
@@ -187,7 +183,7 @@ def _run_avg_convergence(args, config: ExperimentConfig) -> int:
     results = run_avg_convergence_sweep(config)
     censored = sum(p.censored for r in results for p in r.points)
     empty = sum(p.trials == 0 for r in results for p in r.points)
-    summary = _summary_text(
+    summary = key_value_text(
         {
             "subcommand": "avg-convergence",
             "alphas": ",".join(repr(a) for a in config.alpha),
@@ -269,11 +265,12 @@ def _sizes(args, config: ExperimentConfig) -> str:
              for key in ("n_s", "trials", "horizon")}
     sizes.update((name, getattr(args, name)) for name in ("runs", "samples", "resolution")
                  if hasattr(args, name))
-    return " ".join(f"{k}={v}" for k, v in sizes.items())
+    return key_value_text(sizes, " ").rstrip()
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
     """Parse argv, run the subcommand, write outputs; returns the exit code."""
+    config = None
     try:
         args = _build_parser().parse_args(argv)
         config = _resolve_config(args)
@@ -283,8 +280,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return _RUNNERS[args.subcommand](args, config)
     except (_UsageError, ValueError, OSError) as exc:
         message = str(exc)
-    except MemoryError:
-        message = f"out of memory at {_sizes(args, config)}"
+    except MemoryError:  # before the config resolved there are no sizes to name
+        message = "out of memory" if config is None else f"out of memory at {_sizes(args, config)}"
     print(f"error: {message}", file=sys.stderr)
     return 1
 

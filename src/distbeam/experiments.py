@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -208,11 +209,16 @@ def load_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+def key_value_text(fields: dict, sep: str = "\n") -> str:
+    """``key=value`` per field, each followed by ``sep``: the one writer of
+    configs, manifests, summaries and check reports."""
+    return "".join(f"{key}={value}{sep}" for key, value in fields.items())
+
+
 def dump_config(config: ExperimentConfig) -> str:
     """Canonical key=value rendering; parse_config_text round-trips exactly."""
-    return "".join(
-        f"{key}={row.format(getattr(config, row.field))}\n"
-        for key, row in CONFIG_SCHEMA.items()
+    return key_value_text(
+        {key: row.format(getattr(config, row.field)) for key, row in CONFIG_SCHEMA.items()}
     )
 
 
@@ -232,6 +238,18 @@ def _shared_channel(config: ExperimentConfig, n_s: int):
     return generate_channel(
         n_s, np.random.default_rng(shared_channel_seed_sequence(config.master_seed, n_s))
     )
+
+
+# Python objects behind one trial (its generator and channel), about 1.5 kB
+_ROW_OBJECT_BYTES = 2048
+
+
+def _check_fits(rows: int, n_s: int, horizon: int) -> None:
+    """Refuse a run up front, before any per-row object exists, when its
+    magnitude curves, phasors and per-row objects alone exceed physical memory."""
+    need = rows * (8 * (horizon + 1) + 16 * n_s + _ROW_OBJECT_BYTES)
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"a run of {rows} rows needs at least {need} bytes")
 
 
 @dataclass(frozen=True)
@@ -256,6 +274,7 @@ def _run_lockstep(
     has reached stop_alpha times its own optimum; curves of stopped trials
     keep extending until the batch stops, which cannot change first passages.
     """
+    _check_fits(config.trials, n_s, horizon)
     shared = _shared_channel(config, n_s)
     rngs = [
         np.random.default_rng(trial_seed_sequence(config.master_seed, n_s, k))
@@ -265,11 +284,7 @@ def _run_lockstep(
     power = config.power()
     batch, noise_rngs = _start(channels, config.init_mode, power, rngs)
     opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
-    stop = (
-        StopRule.steps(horizon)
-        if stop_alpha is None
-        else StopRule.alpha_fraction(stop_alpha, horizon)
-    )
+    stop = StopRule(horizon, alpha=stop_alpha)
 
     curves = np.empty((config.trials, horizon + 1))
     curves[:, 0] = batch.cur
@@ -287,6 +302,17 @@ def _run_lockstep(
     )
 
 
+def _per_n_s(config: ExperimentConfig, summarize, stop_alpha: float | None = None):
+    """``(n_s, summarize(batch))`` for every n_s of ``config`` in order, and
+    the worst telescoping-identity deviation across all of them."""
+    summaries, max_dev = [], 0.0
+    for n_s in config.n_s_values:
+        batch = _run_lockstep(config, n_s, config.horizon_for(n_s), stop_alpha)
+        summaries.append((n_s, summarize(batch)))
+        max_dev = max(max_dev, batch.identity_dev)
+    return summaries, max_dev
+
+
 def run_sample_paths(config: ExperimentConfig, count: int) -> list[Trajectory]:
     """Fig-1 style runs: one fixed channel, ``count`` trajectories from
     distinct uniform-random initial points, full curves up to the horizon
@@ -299,14 +325,11 @@ def run_sample_paths(config: ExperimentConfig, count: int) -> list[Trajectory]:
         raise ValueError("sample-path runs use a single n_s value")
     n_s = config.n_s_values[0]
     horizon = config.horizon_for(n_s)
+    _check_fits(count, n_s, horizon if config.eps is None else 0)  # eps may stop at t=0
     channel = generate_channel(
         n_s, np.random.default_rng(shared_channel_seed_sequence(config.master_seed, n_s))
     )
-    stop = (
-        StopRule.steps(horizon)
-        if config.eps is None
-        else StopRule.eps_region(config.eps, horizon)
-    )
+    stop = StopRule(horizon, eps=config.eps)
     trajectories = []
     for run_id in range(count):
         trajectories.append(
@@ -321,23 +344,6 @@ def run_sample_paths(config: ExperimentConfig, count: int) -> list[Trajectory]:
             )
         )
     return trajectories
-
-
-def mean_magnitude_curve(trajectories: list[Trajectory]) -> np.ndarray:
-    """Pointwise mean magnitude over runs, indexed by t; early-stopped runs
-    are padded with their last value up to the shared horizon."""
-    if not trajectories:
-        raise ValueError("no trajectories")
-    horizons = {traj.stop.max_steps for traj in trajectories}
-    if len(horizons) != 1:
-        raise ValueError("trajectories do not share a horizon")
-    horizon = horizons.pop()
-    acc = np.zeros(horizon + 1)
-    for traj in trajectories:
-        mags = traj.magnitudes()
-        acc[: mags.shape[0]] += mags
-        acc[mags.shape[0] :] += mags[-1]
-    return acc / len(trajectories)
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -379,9 +385,6 @@ class HittingTimeResult:
     r_squared: float
     increment_identity_max_dev: float
 
-    def hitting_times(self) -> list[int | None]:
-        return [p.hitting_time for p in self.points]
-
 
 def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     """Hitting times for every alpha in ``config.alpha`` over one shared
@@ -391,17 +394,14 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     if config.init_mode not in ("origin", "zero"):
         raise ValueError("hitting-time experiments start from the origin "
                          "(zero beamforming phases); set init_mode=origin")
-    per_ns = []
-    max_dev = 0.0
-    for n_s in config.n_s_values:
-        batch = _run_lockstep(config, n_s, config.horizon_for(n_s))
-        per_ns.append((n_s, batch.curves.mean(axis=0), float(batch.opt_mags.mean())))
-        max_dev = max(max_dev, batch.identity_dev)
+    per_ns, max_dev = _per_n_s(
+        config, lambda batch: (batch.curves.mean(axis=0), float(batch.opt_mags.mean()))
+    )
 
     results = []
     for alpha in config.alpha:
         points = []
-        for n_s, mean_curve, mean_opt in per_ns:
+        for n_s, (mean_curve, mean_opt) in per_ns:
             threshold = alpha * mean_opt
             hits = np.nonzero(mean_curve >= threshold)[0]
             hitting = int(hits[0]) if hits.size else None
@@ -435,14 +435,6 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     return results
 
 
-def estimate_hitting_time(config: ExperimentConfig) -> HittingTimeResult:
-    """Single-alpha hitting-time estimate (see :func:`run_hitting_time_sweep`)."""
-    if len(config.alpha) != 1:
-        raise ValueError("estimate_hitting_time wants a single alpha; "
-                         "use run_hitting_time_sweep for several")
-    return run_hitting_time_sweep(config)[0]
-
-
 @dataclass(frozen=True)
 class ConvergenceTimePoint:
     """First-passage summary for one n_s: sample mean/std over uncensored
@@ -462,24 +454,13 @@ class ConvergenceTimeResult:
     points: tuple[ConvergenceTimePoint, ...]
     increment_identity_max_dev: float
 
-    def mean_times(self) -> list[float]:
-        return [p.mean_time for p in self.points]
-
 
 def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeResult]:
     """Per-run first-passage times to alpha times that run's own optimum,
     for every alpha in ``config.alpha`` over one shared simulation pass."""
     if config.kind != "avg-convergence":
         raise ValueError(f"config kind is {config.kind!r}, expected 'avg-convergence'")
-    alpha_max = max(config.alpha)
-    per_ns = []
-    max_dev = 0.0
-    for n_s in config.n_s_values:
-        batch = _run_lockstep(
-            config, n_s, config.horizon_for(n_s), stop_alpha=alpha_max
-        )
-        per_ns.append((n_s, batch))
-        max_dev = max(max_dev, batch.identity_dev)
+    per_ns, max_dev = _per_n_s(config, lambda batch: batch, stop_alpha=max(config.alpha))
 
     results = []
     for alpha in config.alpha:
@@ -510,14 +491,6 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
             )
         )
     return results
-
-
-def estimate_avg_convergence_time(config: ExperimentConfig) -> ConvergenceTimeResult:
-    """Single-alpha average convergence time (see :func:`run_avg_convergence_sweep`)."""
-    if len(config.alpha) != 1:
-        raise ValueError("estimate_avg_convergence_time wants a single alpha; "
-                         "use run_avg_convergence_sweep for several")
-    return run_avg_convergence_sweep(config)[0]
 
 
 def sample_paths_csv(trajectories: list[Trajectory]) -> str:

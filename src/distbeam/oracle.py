@@ -27,25 +27,18 @@ from .channel import (
     magnitude_batch,
     optimal_magnitude,
 )
+from .experiments import key_value_text
 from .search import Trajectory
-
-
-def _kv_text(check: str, status: str, fields: dict) -> str:
-    lines = [f"check={check}", f"status={status}"]
-    for key, value in fields.items():
-        lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Exhaustive grid over the phase torus with the first phase fixed at 0
-    (shift invariance makes the quotient exact). ``radius`` is the L-inf
-    neighborhood for the local-max test, defaulting to one grid cell."""
+    (shift invariance makes the quotient exact). The local-max test compares
+    each point with its L-inf neighbors one grid cell away."""
 
     resolution: int
     n_s: int
-    radius: float | None = None
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -54,8 +47,6 @@ class GridSpec:
             raise ValueError("grid verification supports n_s <= 4")
         if self.resolution ** max(self.n_s - 1, 0) > 10**8:
             raise ValueError("grid too large: resolution**(n_s-1) must be <= 1e8")
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive")
 
     @property
     def cell(self) -> float:
@@ -78,10 +69,10 @@ class LocalMaxReport:
         return self.violations == 0
 
     def to_text(self) -> str:
-        return _kv_text(
-            "local-global",
-            "pass" if self.passed else "fail",
+        return key_value_text(
             {
+                "check": "local-global",
+                "status": "pass" if self.passed else "fail",
                 "n_s": self.n_s,
                 "resolution": self.resolution,
                 "tol": repr(self.tol),
@@ -138,9 +129,8 @@ def verify_local_equals_global(
             best_point=best_point,
         )
 
-    reach = 1 if grid.radius is None else max(1, int(round(grid.radius / cell)))
     neighbor_max = np.full_like(mags, -np.inf)
-    for offset in itertools.product(range(-reach, reach + 1), repeat=d):
+    for offset in itertools.product((-1, 0, 1), repeat=d):
         if all(o == 0 for o in offset):
             continue
         np.maximum(neighbor_max, np.roll(mags, offset, axis=tuple(range(d))), out=neighbor_max)
@@ -185,10 +175,10 @@ class ImprovementEstimate:
         return self.status == "ok"
 
     def to_text(self) -> str:
-        return _kv_text(
-            "improvement-probability",
-            self.status,
+        return key_value_text(
             {
+                "check": "improvement-probability",
+                "status": self.status,
                 "gamma_hat": "" if self.gamma_hat is None else repr(self.gamma_hat),
                 "eta_hat": "" if self.eta_hat is None else repr(self.eta_hat),
                 "k0_diag": "" if self.k0_diag is None else self.k0_diag,
@@ -277,10 +267,10 @@ class ShiftInvarianceReport:
         return self.max_dev_rel <= self.tol
 
     def to_text(self) -> str:
-        return _kv_text(
-            "shift-invariance",
-            "pass" if self.passed else "fail",
+        return key_value_text(
             {
+                "check": "shift-invariance",
+                "status": "pass" if self.passed else "fail",
                 "n_s": self.n_s,
                 "trials": self.trials,
                 "max_dev_rel": repr(self.max_dev_rel),
@@ -324,10 +314,10 @@ class IncrementReport:
         return self.first_violation_step is None and self.telescope_dev_rel <= self.tol
 
     def to_text(self) -> str:
-        return _kv_text(
-            "monotone-increment",
-            "pass" if self.passed else "fail",
+        return key_value_text(
             {
+                "check": "monotone-increment",
+                "status": "pass" if self.passed else "fail",
                 "n_steps": self.n_steps,
                 "first_violation_step": ""
                 if self.first_violation_step is None

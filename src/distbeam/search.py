@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -52,19 +52,16 @@ class DecisionMapViolation(RuntimeError):
 class PerturbationSpec:
     """Sampling measure for phase perturbations.
 
-    ``uniform-hypercube`` draws each component i.i.d. uniform on
-    [-delta0, delta0]. An optional per-step ``schedule`` overrides delta0 for
+    Each component is drawn i.i.d. uniform on [-delta0, delta0] (the
+    uniform hypercube). An optional per-step ``schedule`` overrides delta0 for
     the first ``len(schedule)`` steps (time-varying measure); later steps fall
     back to ``delta0``.
     """
 
     delta0: float
-    family: str = "uniform-hypercube"
     schedule: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.family != "uniform-hypercube":
-            raise ValueError(f"unknown perturbation family: {self.family!r}")
         if not 0 < self.delta0 <= math.pi:
             raise ValueError("delta0 must be in (0, pi]")
         if self.schedule is not None:
@@ -129,15 +126,6 @@ class StopRule:
         return None
 
 
-class StepRecord(NamedTuple):
-    step_index: int
-    proposed_theta: np.ndarray | None
-    bit: FeedbackBit
-    theta: np.ndarray | None
-    mag: float
-    increment: float
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-indexed record of one search run.
@@ -153,7 +141,6 @@ class Trajectory:
     spec: PerturbationSpec
     power: PowerConfig
     stop: StopRule
-    seed_label: str
     initial_theta: np.ndarray
     initial_mag: float
     final_theta: np.ndarray
@@ -175,24 +162,6 @@ class Trajectory:
     def magnitudes(self) -> np.ndarray:
         """Magnitude curve indexed by t = 0..n_steps (initial value first)."""
         return np.concatenate(([self.initial_mag], self.mags))
-
-    def first_passage_time(self, threshold: float) -> int | None:
-        """Smallest t with magnitude >= threshold, or None if never reached."""
-        hits = np.nonzero(self.magnitudes() >= threshold)[0]
-        return int(hits[0]) if hits.size else None
-
-    def steps(self) -> Iterator[StepRecord]:
-        for t in range(self.n_steps):
-            yield StepRecord(
-                step_index=t + 1,
-                proposed_theta=None
-                if self.proposed_thetas is None
-                else self.proposed_thetas[t],
-                bit=FeedbackBit.KEEP if self.bits[t] else FeedbackBit.DISCARD,
-                theta=None if self.thetas is None else self.thetas[t],
-                mag=float(self.mags[t]),
-                increment=float(self.increments[t]),
-            )
 
 
 def _init_theta(channel: ChannelRealization, mode, rng: np.random.Generator) -> np.ndarray:
@@ -377,18 +346,6 @@ def plug_decision_map(
     return step
 
 
-def _seed_label(seed) -> str:
-    if isinstance(seed, (int, np.integer)):
-        return str(int(seed))
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        if isinstance(ent, (int, np.integer)):
-            return str(int(ent))
-        if isinstance(ent, (list, tuple)):
-            return ":".join(str(int(e)) for e in ent)
-    return ""
-
-
 def run_trajectory(
     channel: ChannelRealization,
     spec: PerturbationSpec,
@@ -439,7 +396,6 @@ def run_trajectory(
         spec=spec,
         power=power,
         stop=stop,
-        seed_label=_seed_label(seed),
         initial_theta=initial_theta,
         initial_mag=initial_mag,
         final_theta=canonical_phases(batch.theta[0]),
@@ -455,22 +411,3 @@ def run_trajectory(
         else None,
     )
 
-
-def trajectory_to_csv(traj: Trajectory, out: TextIO) -> None:
-    """Serialize a trajectory.
-
-    Header comment lines (in order): gains as a:phi pairs, delta0, P, seed.
-    Then a ``step,bit,mag,increment`` table; row 0 carries the initial
-    magnitude with empty bit and increment fields, later rows have bit
-    ``keep`` or ``discard`` and the realized increment (0.0 on discard).
-    """
-    gains = ";".join(f"{a!r}:{p!r}" for a, p in traj.channel.gains())
-    out.write(f"# gains={gains}\n")
-    out.write(f"# delta0={traj.spec.delta0!r}\n")
-    out.write(f"# P={traj.power.P!r}\n")
-    out.write(f"# seed={traj.seed_label}\n")
-    out.write("step,bit,mag,increment\n")
-    out.write(f"0,,{traj.initial_mag!r},\n")
-    for t in range(traj.n_steps):
-        bit = "keep" if traj.bits[t] else "discard"
-        out.write(f"{t + 1},{bit},{float(traj.mags[t])!r},{float(traj.increments[t])!r}\n")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distbeam
-from distbeam import parse_and_dispatch, parse_config_text
+from distbeam import cli, parse_and_dispatch, parse_config_text
 from distbeam.cli import emit_reproduction_bundle
 from distbeam.experiments import (
     CHANNEL_POLICIES,
@@ -133,11 +133,23 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
           "--samples", "1000000000000000"], "samples=1000000000000000"),
         (["hitting-time", "--n-s", "1000000000000000", "--trials", "1",
           "--horizon", "1"], "n_s=1000000000000000"),
+        (["hitting-time", "--n-s", "100000000000000000000", "--trials", "1",
+          "--horizon", "1"], "n_s=100000000000000000000"),
+        (["hitting-time", "--n-s", "4", "--trials", "1",
+          "--horizon", "100000000000000000000"], "horizon=100000000000000000000"),
+        (["hitting-time", "--n-s", "4", "--trials", "2",
+          "--horizon", "4611686018427387904"], "horizon=4611686018427387904"),
+        (["hitting-time", "--n-s", "4", "--trials", "1000000000000000",
+          "--horizon", "1"], "trials=1000000000000000"),
+        (["sample-path", "--n-s", "4", "--runs", "1000000000000000"],
+         "runs=1000000000000000"),
     ],
-    ids=["samples", "n_s"],
+    ids=["samples", "n_s", "n_s-beyond-int64", "horizon-beyond-int64", "horizon-2^62",
+         "trials", "runs"],
 )
 def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
-    # 10^15 elements exceed a 48-bit address space, so allocation fails at once
+    # each run is refused before its first allocation: 10^15 samples exceed a
+    # 48-bit address space, and the other sizes exceed physical memory
     rc = parse_and_dispatch(argv + ["--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -168,6 +180,23 @@ def test_bad_seed_exits_1_naming_master_seed(capsys):
     err = capsys.readouterr().err
     assert "bad value for config key 'master_seed'" in err
     assert "Traceback" not in err
+
+
+def test_eps_stopped_sample_paths_are_not_refused_for_their_budget(tmp_path):
+    # with one transmitter every run starts in the eps region and takes no step
+    rc = parse_and_dispatch(["sample-path", "--n-s", "1", "--eps", "0.5", "--runs", "2",
+                             "--horizon", "100000000000000", "--out", str(tmp_path)])
+    assert rc == 0
+    assert read(tmp_path / "sample_paths.csv").count("\n") == 3
+
+
+def test_out_of_memory_before_the_config_resolves_exits_1(monkeypatch, capsys):
+    def load_config(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_config", load_config)
+    assert parse_and_dispatch(["show-config", "--config", "big.cfg"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def _run_module(*args):

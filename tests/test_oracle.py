@@ -30,8 +30,6 @@ def test_grid_spec_validation():
         GridSpec(resolution=100, n_s=5)
     with pytest.raises(ValueError):
         GridSpec(resolution=1000, n_s=4)  # 1e9 grid points
-    with pytest.raises(ValueError):
-        GridSpec(resolution=100, n_s=2, radius=0.0)
     assert GridSpec(resolution=464, n_s=4).cell == pytest.approx(TWO_PI / 464)
 
 
@@ -199,7 +197,6 @@ def test_increment_check_flags_decreasing_step():
         spec=good.spec,
         power=good.power,
         stop=good.stop,
-        seed_label="",
         initial_theta=good.initial_theta,
         initial_mag=1.0,
         final_theta=good.final_theta,

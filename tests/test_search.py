@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from distbeam import (
     plug_decision_map,
     run_trajectory,
     sample_perturbation,
-    trajectory_to_csv,
 )
 
 POWER = PowerConfig()
@@ -98,8 +96,6 @@ def test_perturbation_schedule():
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(delta0=0.0)
-    with pytest.raises(ValueError):
-        PerturbationSpec(delta0=0.1, family="gaussian")
     with pytest.raises(ValueError):
         PerturbationSpec(delta0=0.1, schedule=(0.1, -0.1))
     for bad in (math.pi + 1e-9, math.inf, math.nan):
@@ -326,33 +322,6 @@ def test_batched_uniform_draws_match_sequential():
     assert np.array_equal(batch, seq)
 
 
-def test_step_records_view():
-    ch = generate_channel(3, np.random.default_rng(21))
-    traj = run_trajectory(
-        ch, PerturbationSpec(delta0=0.2), POWER, "uniform", StopRule.steps(10), seed=2
-    )
-    records = list(traj.steps())
-    assert [r.step_index for r in records] == list(range(1, 11))
-    for r in records:
-        assert r.bit in (FeedbackBit.KEEP, FeedbackBit.DISCARD)
-        assert r.increment >= 0
-        assert r.proposed_theta.shape == (3,)
-
-
-def test_first_passage_time():
-    ch = generate_channel(5, np.random.default_rng(6))
-    traj = run_trajectory(
-        ch, PerturbationSpec(delta0=math.pi / 30), POWER, "zero",
-        StopRule.steps(800), seed=3, record_thetas=False,
-    )
-    thr = 0.8 * optimal_magnitude(ch, 1.0)
-    t = traj.first_passage_time(thr)
-    curve = traj.magnitudes()
-    assert curve[t] >= thr
-    assert np.all(curve[:t] < thr)
-    assert traj.first_passage_time(2 * optimal_magnitude(ch, 1.0)) is None
-
-
 def test_convergence_in_probability_fraction_is_monotone():
     spec = PerturbationSpec(delta0=math.pi / 30)
     rng = np.random.default_rng(77)
@@ -369,28 +338,6 @@ def test_convergence_in_probability_fraction_is_monotone():
     fraction = inside.mean(axis=0)
     assert np.all(np.diff(fraction) >= 0)
     assert fraction[-1] == 1.0
-
-
-def test_trajectory_csv_format():
-    ch = ChannelRealization(a=[1.0, 0.5], phi=[0.25, 1.5])
-    traj = run_trajectory(
-        ch, PerturbationSpec(delta0=math.pi / 30), POWER, "zero",
-        StopRule.steps(5), seed=11,
-    )
-    buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("# gains=")
-    assert lines[1] == f"# delta0={math.pi / 30!r}"
-    assert lines[2] == "# P=1.0"
-    assert lines[3] == "# seed=11"
-    assert lines[4] == "step,bit,mag,increment"
-    assert lines[5].startswith("0,,")
-    assert len(lines) == 5 + 1 + traj.n_steps
-    step, bit, mag, inc = lines[6].split(",")
-    assert step == "1" and bit in ("keep", "discard")
-    assert float(mag) == traj.mags[0]
-    assert float(inc) == traj.increments[0]
 
 
 def test_noisy_step_compares_against_stored_estimate():
