@@ -27,6 +27,7 @@ from .experiments import (
     CONFIG_SCHEMA,
     EXPERIMENT_KINDS,
     ExperimentConfig,
+    _check_fits,
     avg_convergence_csv,
     config_from_items,
     dump_config,
@@ -129,27 +130,26 @@ def emit_reproduction_bundle(
 
 
 def _run_sample_path(args, config: ExperimentConfig) -> int:
-    trajectories = run_sample_paths(config, args.runs)
-    reached = sum(t.converged is True for t in trajectories)
+    curves, reached = run_sample_paths(config, args.runs)
     summary = key_value_text(
         {
             "subcommand": "sample-path",
             "runs": args.runs,
             "n_s": config.n_s_values[0],
-            "steps": ",".join(str(t.n_steps) for t in trajectories),
-            "final_mags": ",".join(repr(t.final_mag) for t in trajectories),
+            "steps": ",".join(str(len(c) - 1) for c in curves),
+            "final_mags": ",".join(repr(c[-1].item()) for c in curves),
         }
     )
     emit_reproduction_bundle(
         config,
-        {"sample_paths.csv": sample_paths_csv(trajectories), "summary.txt": summary},
+        {"sample_paths.csv": sample_paths_csv(curves), "summary.txt": summary},
         args.out,
     )
     print(
         f"sample-path: {args.runs} runs, n_s={config.n_s_values[0]}, "
         f"wrote {args.out}/sample_paths.csv"
     )
-    if config.eps is not None and reached < args.runs:
+    if reached is not None and not reached.all():
         return 2
     return 0
 
@@ -231,6 +231,8 @@ def _run_verify(args, config: ExperimentConfig) -> int:
             samples=args.samples, rng=rng,
         )
     else:  # increment
+        # the trajectory keeps a bit, a magnitude and an increment per step
+        _check_fits(1, n_s, 3 * config.horizon_for(n_s))
         traj = run_trajectory(
             channel,
             config.perturbation(),

@@ -4,8 +4,11 @@ average convergence time vs n_s, with seed-level reproducibility.
 Per-trial random streams are a pure function of (master_seed, n_s, trial), so
 adding trials, n_s points, or thresholds never perturbs existing results. All
 trials of one n_s advance in lockstep through the search kernel, the same one
-:func:`distbeam.search.run_trajectory` runs on a single row, so the curves are
-bit-identical to per-trial trajectories, with or without noise.
+:func:`distbeam.search.run_trajectory` runs on a single row, so every
+magnitude is bit-identical to per-trial trajectories, with or without noise.
+Each step's magnitudes stream into a reducer that keeps only the study's
+answer: the mean curve (hitting time), each trial's first passages (average
+convergence), or each run's curve up to its eps stop (sample paths).
 """
 
 from __future__ import annotations
@@ -20,14 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import generate_channel, PowerConfig
-from .search import (
-    PerturbationSpec,
-    StopRule,
-    Trajectory,
-    _lockstep,
-    _start,
-    run_trajectory,
-)
+from .search import PerturbationSpec, StopRule, _lockstep, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
 INIT_MODES = ("origin", "zero", "uniform")
@@ -232,50 +228,37 @@ def shared_channel_seed_sequence(master_seed: int, n_s: int) -> np.random.SeedSe
     return np.random.SeedSequence([int(master_seed), int(n_s)])
 
 
-def _shared_channel(config: ExperimentConfig, n_s: int):
-    if config.channel_policy != "fixed-across-trials":
-        return None
-    return generate_channel(
-        n_s, np.random.default_rng(shared_channel_seed_sequence(config.master_seed, n_s))
-    )
-
-
 # Python objects behind one trial (its generator and channel), about 1.5 kB
 _ROW_OBJECT_BYTES = 2048
 
 
-def _check_fits(rows: int, n_s: int, horizon: int) -> None:
+def _check_fits(rows: int, n_s: int, held_floats: int = 0) -> None:
     """Refuse a run up front, before any per-row object exists, when its
-    magnitude curves, phasors and per-row objects alone exceed physical memory."""
-    need = rows * (8 * (horizon + 1) + 16 * n_s + _ROW_OBJECT_BYTES)
+    phasors, per-row objects and the ``held_floats`` floats its study keeps
+    alone exceed physical memory."""
+    need = rows * (16 * n_s + _ROW_OBJECT_BYTES) + 8 * held_floats
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError(f"a run of {rows} rows needs at least {need} bytes")
 
 
-@dataclass(frozen=True)
-class _TrialBatch:
-    """One n_s worth of trials: magnitude curves (trials, steps+1), the
-    per-trial optimal magnitudes, and the worst relative telescoping error
-    |Mag[T] - (c0 + sum I)| / Mag[T] across trials."""
-
-    curves: np.ndarray
-    opt_mags: np.ndarray
-    identity_dev: float
-
-
 def _run_lockstep(
-    config: ExperimentConfig, n_s: int, horizon: int, stop_alpha: float | None = None
-) -> _TrialBatch:
-    """Advance all trials of one n_s in lockstep through the search kernel.
+    config: ExperimentConfig, n_s: int, stop: StopRule, reduce: Callable
+) -> tuple[np.ndarray, float]:
+    """Advance all trials of one n_s in lockstep through the search kernel,
+    calling ``reduce(t, magnitudes, opt_mags)`` at t = 0 and after every step.
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
-    order. ``stop_alpha`` stops early (at chunk granularity) once every trial
-    has reached stop_alpha times its own optimum; curves of stopped trials
-    keep extending until the batch stops, which cannot change first passages.
+    order. ``magnitudes`` is the batch's own row array, updated in place, so a
+    reducer that keeps it copies it. Steps run until ``stop`` holds for every
+    trial at a chunk start, so rows already past it keep stepping. Returns the
+    per-trial optimal magnitudes and the worst relative telescoping error
+    |Mag[T] - (Mag[0] + sum I)| / Mag[T] across trials.
     """
-    _check_fits(config.trials, n_s, horizon)
-    shared = _shared_channel(config, n_s)
+    shared = None
+    if config.channel_policy == "fixed-across-trials":
+        seed = shared_channel_seed_sequence(config.master_seed, n_s)
+        shared = generate_channel(n_s, np.random.default_rng(seed))
     rngs = [
         np.random.default_rng(trial_seed_sequence(config.master_seed, n_s, k))
         for k in range(config.trials)
@@ -284,39 +267,30 @@ def _run_lockstep(
     power = config.power()
     batch, noise_rngs = _start(channels, config.init_mode, power, rngs)
     opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
-    stop = StopRule(horizon, alpha=stop_alpha)
 
-    curves = np.empty((config.trials, horizon + 1))
-    curves[:, 0] = batch.cur
+    initial = batch.cur.copy()
+    reduce(0, batch.cur, opt_mags)
     inc_sum = np.zeros(config.trials)
     for _, _, inc in _lockstep(
         batch, config.perturbation(), power, stop, opt_mags, rngs, noise_rngs
     ):
-        curves[:, batch.t] = batch.cur
+        reduce(batch.t, batch.cur, opt_mags)
         inc_sum += inc
 
     final = batch.cur
-    dev = np.abs(final - (curves[:, 0] + inc_sum)) / np.maximum(final, 1e-30)
-    return _TrialBatch(
-        curves=curves[:, : batch.t + 1], opt_mags=opt_mags, identity_dev=float(dev.max())
-    )
+    dev = np.abs(final - (initial + inc_sum)) / np.maximum(final, 1e-30)
+    return opt_mags, float(dev.max())
 
 
-def _per_n_s(config: ExperimentConfig, summarize, stop_alpha: float | None = None):
-    """``(n_s, summarize(batch))`` for every n_s of ``config`` in order, and
-    the worst telescoping-identity deviation across all of them."""
-    summaries, max_dev = [], 0.0
-    for n_s in config.n_s_values:
-        batch = _run_lockstep(config, n_s, config.horizon_for(n_s), stop_alpha)
-        summaries.append((n_s, summarize(batch)))
-        max_dev = max(max_dev, batch.identity_dev)
-    return summaries, max_dev
+def run_sample_paths(
+    config: ExperimentConfig, count: int
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Fig-1 style runs: one fixed channel, ``count`` runs from distinct
+    uniform-random initial points, stepped as one lockstep batch.
 
-
-def run_sample_paths(config: ExperimentConfig, count: int) -> list[Trajectory]:
-    """Fig-1 style runs: one fixed channel, ``count`` trajectories from
-    distinct uniform-random initial points, full curves up to the horizon
-    (or the eps region when ``config.eps`` is set)."""
+    Returns each run's magnitude curve from t = 0, up to the horizon or to its
+    first step inside the eps region, and whether each run reached that region
+    (None without ``config.eps``)."""
     if config.kind != "sample-path":
         raise ValueError(f"config kind is {config.kind!r}, expected 'sample-path'")
     if count < 1:
@@ -325,25 +299,21 @@ def run_sample_paths(config: ExperimentConfig, count: int) -> list[Trajectory]:
         raise ValueError("sample-path runs use a single n_s value")
     n_s = config.n_s_values[0]
     horizon = config.horizon_for(n_s)
-    _check_fits(count, n_s, horizon if config.eps is None else 0)  # eps may stop at t=0
-    channel = generate_channel(
-        n_s, np.random.default_rng(shared_channel_seed_sequence(config.master_seed, n_s))
+    # an eps-stopped run may stop at t=0, so only a budget run must hold its curves
+    _check_fits(count, n_s, 0 if config.eps is not None else count * (horizon + 1))
+    runs = dataclasses.replace(
+        config, trials=count, init_mode="uniform", channel_policy="fixed-across-trials"
     )
     stop = StopRule(horizon, eps=config.eps)
-    trajectories = []
-    for run_id in range(count):
-        trajectories.append(
-            run_trajectory(
-                channel,
-                config.perturbation(),
-                config.power(),
-                "uniform",
-                stop,
-                seed=trial_seed_sequence(config.master_seed, n_s, run_id),
-                record_thetas=False,
-            )
-        )
-    return trajectories
+    steps = []
+    opt_mags, _ = _run_lockstep(runs, n_s, stop, lambda t, cur, opt: steps.append(cur.copy()))
+    mags = np.array(steps)  # (steps run + 1, count)
+    inside = stop.met(mags, opt_mags)
+    if inside is None:
+        return list(mags.T), None
+    reached = inside.any(axis=0)
+    ends = np.where(reached, inside.argmax(axis=0), len(steps) - 1)
+    return [mags[: end + 1, k] for k, end in enumerate(ends)], reached
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -394,14 +364,24 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     if config.init_mode not in ("origin", "zero"):
         raise ValueError("hitting-time experiments start from the origin "
                          "(zero beamforming phases); set init_mode=origin")
-    per_ns, max_dev = _per_n_s(
-        config, lambda batch: (batch.curves.mean(axis=0), float(batch.opt_mags.mean()))
-    )
+    per_ns, max_dev = [], 0.0
+    for n_s in config.n_s_values:
+        horizon = config.horizon_for(n_s)
+        _check_fits(config.trials, n_s, horizon + 1)
+        sums = np.empty(horizon + 1)  # every step runs: the stop has no threshold
+
+        def add(t, cur, opt):
+            # in trial order, as an axis-0 mean of curves sums; cur.sum() rounds differently
+            sums[t] = np.add.accumulate(cur)[-1]
+
+        opt_mags, dev = _run_lockstep(config, n_s, StopRule(horizon), add)
+        per_ns.append((n_s, sums / config.trials, float(opt_mags.mean())))
+        max_dev = max(max_dev, dev)
 
     results = []
     for alpha in config.alpha:
         points = []
-        for n_s, (mean_curve, mean_opt) in per_ns:
+        for n_s, mean_curve, mean_opt in per_ns:
             threshold = alpha * mean_opt
             hits = np.nonzero(mean_curve >= threshold)[0]
             hitting = int(hits[0]) if hits.size else None
@@ -460,19 +440,34 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     for every alpha in ``config.alpha`` over one shared simulation pass."""
     if config.kind != "avg-convergence":
         raise ValueError(f"config kind is {config.kind!r}, expected 'avg-convergence'")
-    per_ns, max_dev = _per_n_s(config, lambda batch: batch, stop_alpha=max(config.alpha))
+    alphas = np.array(config.alpha)[:, None]
+    per_ns, max_dev = [], 0.0
+    for n_s in config.n_s_values:
+        _check_fits(config.trials, n_s)
+        first = np.full((len(config.alpha), config.trials), -1)
+        pending = np.empty(first.shape)  # thresholds not yet reached, inf once reached
+
+        def first_passage(t, cur, opt):
+            if t == 0:
+                np.multiply(alphas, opt, out=pending)
+            hit = cur >= pending
+            if hit.any():
+                first[hit] = t
+                pending[hit] = np.inf
+
+        stop = StopRule(config.horizon_for(n_s), alpha=max(config.alpha))
+        _, dev = _run_lockstep(config, n_s, stop, first_passage)
+        per_ns.append((n_s, first))
+        max_dev = max(max_dev, dev)
 
     results = []
-    for alpha in config.alpha:
+    for i, alpha in enumerate(config.alpha):
         points = []
-        for n_s, batch in per_ns:
-            thresholds = alpha * batch.opt_mags
-            reached = batch.curves >= thresholds[:, None]
-            crossed = reached.any(axis=1)
-            first = np.argmax(reached, axis=1).astype(float)
-            times = np.where(crossed, first, np.nan)
+        for n_s, first in per_ns:
+            crossed = first[i] >= 0
+            times = np.where(crossed, first[i], np.nan)
             n_ok = int(crossed.sum())
-            ok = first[crossed]
+            ok = times[crossed]
             mean_time = float(ok.mean()) if n_ok else float("nan")
             std_time = float(ok.std(ddof=1)) if n_ok >= 2 else float("nan")
             points.append(
@@ -493,12 +488,12 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     return results
 
 
-def sample_paths_csv(trajectories: list[Trajectory]) -> str:
+def sample_paths_csv(curves: list[np.ndarray]) -> str:
     """CSV with columns step,run_id,mag; rows grouped by run, steps ascending."""
     lines = ["step,run_id,mag"]
-    for run_id, traj in enumerate(trajectories):
-        for t, mag in enumerate(traj.magnitudes()):
-            lines.append(f"{t},{run_id},{float(mag)!r}")
+    for run_id, curve in enumerate(curves):
+        for t, mag in enumerate(curve.tolist()):
+            lines.append(f"{t},{run_id},{mag!r}")
     return "\n".join(lines) + "\n"
 
 

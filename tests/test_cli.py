@@ -143,9 +143,11 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
           "--horizon", "1"], "trials=1000000000000000"),
         (["sample-path", "--n-s", "4", "--runs", "1000000000000000"],
          "runs=1000000000000000"),
+        (["verify", "--check", "increment", "--n-s", "4",
+          "--horizon", "100000000000000000000"], "horizon=100000000000000000000"),
     ],
     ids=["samples", "n_s", "n_s-beyond-int64", "horizon-beyond-int64", "horizon-2^62",
-         "trials", "runs"],
+         "trials", "runs", "verify-increment-horizon"],
 )
 def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
     # each run is refused before its first allocation: 10^15 samples exceed a
@@ -188,6 +190,16 @@ def test_eps_stopped_sample_paths_are_not_refused_for_their_budget(tmp_path):
                              "--horizon", "100000000000000", "--out", str(tmp_path)])
     assert rc == 0
     assert read(tmp_path / "sample_paths.csv").count("\n") == 3
+
+
+def test_sweeps_hold_no_horizon_sized_state(tmp_path):
+    # both runs cross 0.9 of their optimum by step 47, so the batch stops
+    # after its first chunk whatever the horizon
+    argv = ["avg-convergence", "--n-s", "4", "--trials", "2", "--seed", "2", "--out"]
+    assert parse_and_dispatch(argv + [str(tmp_path / "auto")]) == 0
+    assert parse_and_dispatch(argv + [str(tmp_path / "huge"), "--horizon", "1000000000000"]) == 0
+    csv = "avg_convergence.csv"
+    assert read(tmp_path / "huge" / csv) == read(tmp_path / "auto" / csv)
 
 
 def test_out_of_memory_before_the_config_resolves_exits_1(monkeypatch, capsys):

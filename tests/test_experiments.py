@@ -225,6 +225,15 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
     return curves, np.array(opts)
 
 
+def lockstep_curves(cfg, n_s, horizon):
+    """The engine's per-trial curves, collected through its reducer hook."""
+    steps = []
+    opt_mags, _ = _run_lockstep(
+        cfg, n_s, StopRule(horizon), lambda t, cur, opt: steps.append(cur.copy())
+    )
+    return np.array(steps).T, opt_mags
+
+
 @pytest.mark.parametrize(
     "policy,init_mode,sigma2,trials,n_s",
     [
@@ -247,11 +256,11 @@ def test_engine_matches_sequential_runs_exactly(init_mode, policy, sigma2, trial
         averaging_slots=2, n_s_values=(n_s,),
     )
     horizon = 150
-    batch = _run_lockstep(cfg, n_s, horizon)
+    engine, opt_mags = lockstep_curves(cfg, n_s, horizon)
     curves, opts = manual_trial_curves(cfg, n_s, horizon)
-    assert np.array_equal(batch.opt_mags, opts)
+    assert np.array_equal(opt_mags, opts)
     for k in range(cfg.trials):
-        assert np.array_equal(batch.curves[k], curves[k])
+        assert np.array_equal(engine[k], curves[k])
 
 
 @given(
@@ -272,11 +281,11 @@ def test_engine_matches_sequential_runs_for_random_configs(
         init_mode=init_mode, channel_policy=policy, trials=trials, sigma2=sigma2,
         averaging_slots=2, n_s_values=(n_s,), delta0=delta0, master_seed=seed,
     )
-    batch = _run_lockstep(cfg, n_s, horizon)
+    engine, opt_mags = lockstep_curves(cfg, n_s, horizon)
     curves, opts = manual_trial_curves(cfg, n_s, horizon)
-    assert np.array_equal(batch.opt_mags, opts)
+    assert np.array_equal(opt_mags, opts)
     for k in range(trials):
-        assert np.array_equal(batch.curves[k], curves[k])
+        assert np.array_equal(engine[k], curves[k])
 
 
 def test_budget_case_cuts_chunks():
@@ -296,23 +305,52 @@ def test_engine_first_passages_match_sequential_alpha_stop():
         assert point.times[k] == expected
 
 
+def shared_channel(cfg):
+    n_s = cfg.n_s_values[0]
+    return generate_channel(
+        n_s, np.random.default_rng(shared_channel_seed_sequence(cfg.master_seed, n_s))
+    )
+
+
 def test_sample_paths_protocol():
     cfg = ExperimentConfig(
         kind="sample-path", n_s_values=(10,), delta0=math.pi / 30,
         horizon=300, master_seed=12,
     )
-    trajs = run_sample_paths(cfg, count=3)
-    assert len(trajs) == 3
-    # one fixed channel, distinct initial points
-    assert all(t.channel is trajs[0].channel for t in trajs)
-    inits = [t.initial_theta for t in trajs]
-    assert not np.array_equal(inits[0], inits[1])
-    for t in trajs:
-        assert t.n_steps == 300
-        assert np.all(np.diff(t.magnitudes()) >= 0)
-    again = run_sample_paths(cfg, count=3)
-    for a, b in zip(trajs, again):
-        assert np.array_equal(a.mags, b.mags)
+    curves, reached = run_sample_paths(cfg, count=3)
+    assert len(curves) == 3
+    assert reached is None
+    # distinct initial points
+    assert len({c[0] for c in curves}) == 3
+    for c in curves:
+        assert c.shape == (301,)
+        assert np.all(np.diff(c) >= 0)
+    again, _ = run_sample_paths(cfg, count=3)
+    for a, b in zip(curves, again):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    # the batch keeps stepping rows already inside the eps region: 0.5 stops
+    # all four runs early, each at its own step, 0.001 three of four, 1e-9 none
+    "eps,expected",
+    [(None, None), (0.5, [True] * 4), (0.001, [True, False, True, True]), (1e-9, [False] * 4)],
+)
+def test_sample_paths_match_trajectories_on_the_shared_channel(eps, expected):
+    cfg = ExperimentConfig(
+        kind="sample-path", n_s_values=(6,), delta0=math.pi / 30,
+        horizon=400, master_seed=4, eps=eps,
+    )
+    curves, reached = run_sample_paths(cfg, count=4)
+    channel = shared_channel(cfg)
+    for k, curve in enumerate(curves):
+        traj = run_trajectory(
+            channel, cfg.perturbation(), cfg.power(), "uniform",
+            StopRule(400, eps=eps), seed=trial_seed_sequence(4, 6, k), record_thetas=False,
+        )
+        assert np.array_equal(curve, traj.magnitudes())
+        assert (None if eps is None else bool(reached[k])) == traj.converged
+    assert (None if reached is None else reached.tolist()) == expected
 
 
 def test_sample_paths_reach_near_optimum():
@@ -320,9 +358,9 @@ def test_sample_paths_reach_near_optimum():
         kind="sample-path", n_s_values=(10,), delta0=math.pi / 30,
         horizon=10_000, master_seed=21,
     )
-    for traj in run_sample_paths(cfg, count=3):
-        opt = math.sqrt(cfg.P) * traj.channel.a.sum()
-        assert np.any(traj.magnitudes() >= 0.99 * opt)
+    opt = math.sqrt(cfg.P) * shared_channel(cfg).a.sum()
+    for curve in run_sample_paths(cfg, count=3)[0]:
+        assert np.any(curve >= 0.99 * opt)
 
 
 def test_sample_paths_validation():
@@ -340,7 +378,7 @@ def test_sample_paths_csv_format():
         kind="sample-path", n_s_values=(4,), delta0=math.pi / 30, horizon=5,
         master_seed=3,
     )
-    text = sample_paths_csv(run_sample_paths(cfg, count=2))
+    text = sample_paths_csv(run_sample_paths(cfg, count=2)[0])
     lines = text.strip().splitlines()
     assert lines[0] == "step,run_id,mag"
     assert len(lines) == 1 + 2 * 6
