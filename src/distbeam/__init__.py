@@ -19,7 +19,6 @@ from .channel import (
     measure_magnitude,
     optimal_magnitude,
 )
-from .cli import emit_reproduction_bundle, parse_and_dispatch
 from .experiments import (
     ConvergenceTimePoint,
     ConvergenceTimeResult,

@@ -8,7 +8,8 @@ trials of one n_s advance in lockstep through the search kernel, the same one
 magnitude is bit-identical to per-trial trajectories, with or without noise.
 Each step's magnitudes stream into a reducer that keeps only the study's
 answer: the mean curve (hitting time), each trial's first passages (average
-convergence), or each run's curve up to its eps stop (sample paths).
+convergence), or each run's curve up to its eps stop (sample paths). The
+reducer also ends the run, as soon as that answer can no longer change.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import generate_channel, PowerConfig
-from .search import PerturbationSpec, StopRule, _lockstep, _start
+from .search import PerturbationSpec, _lockstep, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
 INIT_MODES = ("origin", "zero", "uniform")
@@ -242,18 +243,19 @@ def _check_fits(rows: int, n_s: int, held_floats: int = 0) -> None:
 
 
 def _run_lockstep(
-    config: ExperimentConfig, n_s: int, stop: StopRule, reduce: Callable
+    config: ExperimentConfig, n_s: int, horizon: int, reduce: Callable
 ) -> tuple[np.ndarray, float]:
     """Advance all trials of one n_s in lockstep through the search kernel,
-    calling ``reduce(t, magnitudes, opt_mags)`` at t = 0 and after every step.
+    calling ``reduce(t, magnitudes, opt_mags)`` at t = 0 and after every step
+    until it returns True or ``horizon`` steps have run. A True at t = 0
+    leaves the batch unstepped.
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
     order. ``magnitudes`` is the batch's own row array, updated in place, so a
-    reducer that keeps it copies it. Steps run until ``stop`` holds for every
-    trial at a chunk start, so rows already past it keep stepping. Returns the
-    per-trial optimal magnitudes and the worst relative telescoping error
-    |Mag[T] - (Mag[0] + sum I)| / Mag[T] across trials.
+    reducer that keeps it copies it. Returns the per-trial optimal magnitudes
+    and the worst relative telescoping error |Mag[T] - (Mag[0] + sum I)| /
+    Mag[T] across trials, T being the last step run.
     """
     shared = None
     if config.channel_policy == "fixed-across-trials":
@@ -269,13 +271,14 @@ def _run_lockstep(
     opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
 
     initial = batch.cur.copy()
-    reduce(0, batch.cur, opt_mags)
     inc_sum = np.zeros(config.trials)
-    for _, _, inc in _lockstep(
-        batch, config.perturbation(), power, stop, opt_mags, rngs, noise_rngs
-    ):
-        reduce(batch.t, batch.cur, opt_mags)
-        inc_sum += inc
+    if not reduce(0, batch.cur, opt_mags):
+        for _, _, inc in _lockstep(
+            batch, config.perturbation(), power, horizon, rngs, noise_rngs
+        ):
+            inc_sum += inc
+            if reduce(batch.t, batch.cur, opt_mags):
+                break
 
     final = batch.cur
     dev = np.abs(final - (initial + inc_sum)) / np.maximum(final, 1e-30)
@@ -304,13 +307,18 @@ def run_sample_paths(
     runs = dataclasses.replace(
         config, trials=count, init_mode="uniform", channel_policy="fixed-across-trials"
     )
-    stop = StopRule(horizon, eps=config.eps)
+    eps = config.eps
     steps = []
-    opt_mags, _ = _run_lockstep(runs, n_s, stop, lambda t, cur, opt: steps.append(cur.copy()))
+
+    def record(t, cur, opt):
+        steps.append(cur.copy())
+        return eps is not None and (cur > opt - eps).all()
+
+    opt_mags, _ = _run_lockstep(runs, n_s, horizon, record)
     mags = np.array(steps)  # (steps run + 1, count)
-    inside = stop.met(mags, opt_mags)
-    if inside is None:
+    if eps is None:
         return list(mags.T), None
+    inside = mags > opt_mags - eps
     reached = inside.any(axis=0)
     ends = np.where(reached, inside.argmax(axis=0), len(steps) - 1)
     return [mags[: end + 1, k] for k, end in enumerate(ends)], reached
@@ -336,7 +344,9 @@ def linear_fit(x, y) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class HittingTimePoint:
-    """Convergence-in-mean summary for one n_s."""
+    """Convergence-in-mean summary for one n_s. ``mean_curve`` runs from
+    t = 0 to the largest alpha's crossing, or to the horizon when that
+    crossing is unresolved."""
 
     n_s: int
     hitting_time: int | None
@@ -368,14 +378,21 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     for n_s in config.n_s_values:
         horizon = config.horizon_for(n_s)
         _check_fits(config.trials, n_s, horizon + 1)
-        sums = np.empty(horizon + 1)  # every step runs: the stop has no threshold
+        sums = np.empty(horizon + 1)
+        top = last = 0
 
         def add(t, cur, opt):
+            nonlocal top, last
+            if t == 0:  # the top alpha's threshold, as the crossing search below computes it
+                top = max(config.alpha) * float(opt.mean())
             # in trial order, as an axis-0 mean of curves sums; cur.sum() rounds differently
             sums[t] = np.add.accumulate(cur)[-1]
+            last = t
+            # every lower alpha has crossed by the top alpha's first crossing
+            return sums[t] / config.trials >= top
 
-        opt_mags, dev = _run_lockstep(config, n_s, StopRule(horizon), add)
-        per_ns.append((n_s, sums / config.trials, float(opt_mags.mean())))
+        opt_mags, dev = _run_lockstep(config, n_s, horizon, add)
+        per_ns.append((n_s, sums[: last + 1] / config.trials, float(opt_mags.mean())))
         max_dev = max(max_dev, dev)
 
     results = []
@@ -446,17 +463,20 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
         _check_fits(config.trials, n_s)
         first = np.full((len(config.alpha), config.trials), -1)
         pending = np.empty(first.shape)  # thresholds not yet reached, inf once reached
+        left = first.size
 
         def first_passage(t, cur, opt):
+            nonlocal left
             if t == 0:
                 np.multiply(alphas, opt, out=pending)
             hit = cur >= pending
             if hit.any():
                 first[hit] = t
                 pending[hit] = np.inf
+                left -= np.count_nonzero(hit)
+            return left == 0
 
-        stop = StopRule(config.horizon_for(n_s), alpha=max(config.alpha))
-        _, dev = _run_lockstep(config, n_s, stop, first_passage)
+        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), first_passage)
         per_ns.append((n_s, first))
         max_dev = max(max_dev, dev)
 

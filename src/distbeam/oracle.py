@@ -111,23 +111,10 @@ def verify_local_equals_global(
         tol = 1e-9 * opt
     mags = _grid_magnitudes(channel, P, grid.resolution)
     d = channel.n_s - 1
-    best_idx = np.unravel_index(np.argmax(mags), mags.shape) if d else ()
-    best_mag = float(mags[best_idx]) if d else float(mags)
+    best_idx = np.unravel_index(np.argmax(mags), mags.shape)
+    best_mag = float(mags[best_idx])
     cell = grid.cell
     best_point = (0.0,) + tuple(float(i * cell) for i in best_idx)
-
-    if d == 0:
-        # single transmitter: the quotient grid is one point, the optimum
-        return LocalMaxReport(
-            n_s=channel.n_s,
-            resolution=grid.resolution,
-            tol=tol,
-            violations=0,
-            violation_points=(),
-            best_mag=best_mag,
-            opt_mag=opt,
-            best_point=best_point,
-        )
 
     neighbor_max = np.full_like(mags, -np.inf)
     for offset in itertools.product((-1, 0, 1), repeat=d):

@@ -109,14 +109,6 @@ class StopRule:
     def steps(max_steps: int) -> "StopRule":
         return StopRule(max_steps=max_steps)
 
-    @staticmethod
-    def eps_region(eps: float, max_steps: int) -> "StopRule":
-        return StopRule(max_steps=max_steps, eps=eps)
-
-    @staticmethod
-    def alpha_fraction(alpha: float, max_steps: int) -> "StopRule":
-        return StopRule(max_steps=max_steps, alpha=alpha)
-
     def met(self, mag: float, opt_mag: float) -> bool | None:
         """Threshold test, or None when this is a pure step-budget rule."""
         if self.eps is not None:
@@ -244,7 +236,7 @@ def _start(channels, init_mode, power: PowerConfig, rngs):
     return _Batch(amps, theta, w, cur), noise_rngs
 
 
-def _lockstep(batch: _Batch, spec, power, stop: StopRule, opt, rngs, noise_rngs, accept=None):
+def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, accept=None):
     """Advance ``batch`` in place by propose -> measure -> accept. Each step
     yields its perturbations, keep mask and increments (0 on discard).
 
@@ -252,8 +244,8 @@ def _lockstep(batch: _Batch, spec, power, stop: StopRule, opt, rngs, noise_rngs,
     measures the proposal with slot noise from ``noise_rngs[k]``, and keeps
     the move when ``accept(current, proposed)`` holds. Without a predicate it
     keeps exactly when the proposed estimate strictly exceeds the stored one.
-    Steps run up to ``stop.max_steps``, or until every row meets ``stop``
-    against its optimum ``opt``, checked at the start of each chunk.
+    Steps run up to ``max_steps``; a caller that is done earlier stops
+    iterating.
 
     A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
     rows (a scheduled step is its own chunk); chunking leaves the streams as
@@ -263,11 +255,8 @@ def _lockstep(batch: _Batch, spec, power, stop: StopRule, opt, rngs, noise_rngs,
     slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
     size_cap = min(_CHUNK, max(1, _CHUNK_VALUES // (rows * (n_s + slots))))
     n_sched = 0 if spec.schedule is None else len(spec.schedule)
-    while batch.t < stop.max_steps:
-        met = stop.met(batch.cur, opt)
-        if met is not None and met.all():
-            return
-        size = 1 if batch.t < n_sched else min(size_cap, stop.max_steps - batch.t)
+    while batch.t < max_steps:
+        size = 1 if batch.t < n_sched else min(size_cap, max_steps - batch.t)
         d0 = spec.delta0_at(batch.t)
         deltas = np.stack([rng.uniform(-d0, d0, (size, n_s)) for rng in rngs], axis=1)
         turns = rotations(batch.amps, deltas)
@@ -303,8 +292,7 @@ def _one_step(state, channel, spec, power, rng, accept):
     amps, theta = channel.a[None], state.theta[None].copy()
     batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
                    state.step_index)
-    stop = StopRule.steps(state.step_index + 1)
-    _, keep, inc = next(_lockstep(batch, spec, power, stop, None, [rng], [rng], accept))
+    _, keep, inc = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng], accept))
     if keep[0]:
         new_state = SearchState(canonical_phases(batch.theta[0]), float(batch.cur[0]), batch.t)
         return new_state, FeedbackBit.KEEP, float(inc[0])
@@ -378,17 +366,18 @@ def run_trajectory(
     opt = optimal_magnitude(channel, power.P)
 
     bits, mags, incs, props, thetas = [], [], [], [], []
-    for delta, keep, inc in _lockstep(
-        batch, spec, power, stop, opt, [rng], noise_rngs, accept
-    ):
-        bits.append(keep[0])
-        mags.append(batch.cur[0])
-        incs.append(inc[0])
-        if record_thetas:
-            thetas.append(canonical_phases(batch.theta[0]))
-            props.append(thetas[-1] if keep[0] else canonical_phases(batch.theta[0] + delta[0]))
-        if stop.met(float(batch.cur[0]), opt):
-            break  # the kernel checks only between chunks
+    if not stop.met(initial_mag, opt):
+        for delta, keep, inc in _lockstep(
+            batch, spec, power, stop.max_steps, [rng], noise_rngs, accept
+        ):
+            bits.append(keep[0])
+            mags.append(batch.cur[0])
+            incs.append(inc[0])
+            if record_thetas:
+                thetas.append(canonical_phases(batch.theta[0]))
+                props.append(thetas[-1] if keep[0] else canonical_phases(batch.theta[0] + delta[0]))
+            if stop.met(float(batch.cur[0]), opt):
+                break
 
     n = len(bits)
     return Trajectory(

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The full module takes a couple of minutes; the scaling sweeps dominate.
+The scaling sweeps dominate the module's run time.
 """
 
 import math
@@ -22,12 +22,12 @@ from distbeam import (
     generate_channel,
     linear_fit,
     optimal_magnitude,
-    parse_and_dispatch,
     run_trajectory,
     trial_seed_sequence,
     verify_local_equals_global,
     verify_shift_invariance,
 )
+from distbeam.cli import parse_and_dispatch
 
 MASTER_SEED = 7
 NS_GRID = tuple(range(10, 101, 10))
@@ -52,7 +52,7 @@ def criterion1_runs():
         trajectories.append(
             run_trajectory(
                 channel, spec, power, "origin",
-                StopRule.eps_region(eps, 200 * 10), seed=rng, record_thetas=False,
+                StopRule(200 * 10, eps=eps), seed=rng, record_thetas=False,
             )
         )
     return trajectories

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distbeam
-from distbeam import cli, parse_and_dispatch, parse_config_text
-from distbeam.cli import emit_reproduction_bundle
+from distbeam import cli, parse_config_text
+from distbeam.cli import emit_reproduction_bundle, parse_and_dispatch
 from distbeam.experiments import (
     CHANNEL_POLICIES,
     CONFIG_SCHEMA,
@@ -223,6 +223,7 @@ def test_python_m_runs_the_cli(tmp_path):
     ok = _run_module("show-config", "--seed", "4")
     assert ok.returncode == 0
     assert "master_seed=4\n" in ok.stdout
+    assert "RuntimeWarning" not in ok.stderr
     bad = _run_module("hitting-time", "--seed", "-1", "--out", str(tmp_path / "x"))
     assert bad.returncode == 1
     assert "master_seed" in bad.stderr

@@ -23,6 +23,7 @@ from distbeam import (
     shared_channel_seed_sequence,
     trial_seed_sequence,
 )
+from distbeam import experiments
 from distbeam.experiments import (
     CHANNEL_POLICIES,
     CONFIG_SCHEMA,
@@ -30,7 +31,7 @@ from distbeam.experiments import (
     INIT_MODES,
     _run_lockstep,
 )
-from distbeam.search import _CHUNK, _CHUNK_VALUES
+from distbeam.search import _CHUNK, _CHUNK_VALUES, _lockstep
 
 
 def small_config(**kw):
@@ -214,7 +215,7 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
         stop = (
             StopRule.steps(horizon)
             if stop_alpha is None
-            else StopRule.alpha_fraction(stop_alpha, horizon)
+            else StopRule(horizon, alpha=stop_alpha)
         )
         traj = run_trajectory(
             ch, cfg.perturbation(), cfg.power(), cfg.init_mode, stop,
@@ -229,7 +230,7 @@ def lockstep_curves(cfg, n_s, horizon):
     """The engine's per-trial curves, collected through its reducer hook."""
     steps = []
     opt_mags, _ = _run_lockstep(
-        cfg, n_s, StopRule(horizon), lambda t, cur, opt: steps.append(cur.copy())
+        cfg, n_s, horizon, lambda t, cur, opt: steps.append(cur.copy())
     )
     return np.array(steps).T, opt_mags
 
@@ -303,6 +304,52 @@ def test_engine_first_passages_match_sequential_alpha_stop():
         thr = 0.9 * opts[k]
         expected = int(np.nonzero(curves[k] >= thr)[0][0])
         assert point.times[k] == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 37])
+def test_driver_stops_when_the_reducer_says_so(monkeypatch, k):
+    cfg = small_config(trials=3)
+    full, _ = lockstep_curves(cfg, 6, 50)
+    stepped = []
+
+    def counting(batch, *args):
+        for step in _lockstep(batch, *args):
+            stepped.append(batch.t)
+            yield step
+
+    monkeypatch.setattr(experiments, "_lockstep", counting)
+    seen = []
+
+    def reduce(t, cur, opt):
+        seen.append((t, cur.copy()))
+        return t == k
+
+    _run_lockstep(cfg, 6, 50, reduce)
+    assert [t for t, _ in seen] == list(range(k + 1))
+    assert stepped == list(range(1, k + 1))
+    for t, cur in seen:
+        assert np.array_equal(cur, full[:, t])
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.001])
+def test_avg_convergence_first_passages_match_full_curves(sigma2):
+    # by step 120 every n_s=4 run reaches 0.9, so the reducer stops the batch
+    # early, while some n_s=12 runs stay censored and the batch runs to the end
+    cfg = small_config(
+        kind="avg-convergence", n_s_values=(4, 12), trials=6, alpha=(0.5, 0.7, 0.9),
+        horizon=200, sigma2=sigma2, averaging_slots=2,
+    )
+    results = run_avg_convergence_sweep(cfg)
+    for i, n_s in enumerate(cfg.n_s_values):
+        curves, opt_mags = lockstep_curves(cfg, n_s, 200)
+        for res in results:
+            expected = []
+            for curve, opt in zip(curves, opt_mags):
+                hits = np.nonzero(curve >= res.alpha * opt)[0]
+                expected.append(hits[0] if hits.size else np.nan)
+            np.testing.assert_array_equal(res.points[i].times, expected)
+    assert results[-1].points[0].censored == 0
+    assert results[-1].points[1].censored > 0
 
 
 def shared_channel(cfg):
@@ -430,6 +477,30 @@ def test_hitting_time_unresolved_is_flagged_not_extrapolated():
     text = hitting_time_csv([res])
     row = text.strip().splitlines()[1]
     assert row.split(",")[2] == ""
+
+
+@pytest.mark.parametrize("sigma2,horizon", [(0.0, 150), (0.01, 250)])
+def test_hitting_time_stops_at_the_top_alpha_crossing(sigma2, horizon):
+    # n_s=4 crosses every alpha within the horizon, n_s=12 never reaches 0.9
+    cfg = small_config(
+        n_s_values=(4, 12), trials=6, alpha=(0.5, 0.7, 0.9), horizon=horizon,
+        sigma2=sigma2, averaging_slots=2,
+    )
+    results = run_hitting_time_sweep(cfg)
+    for i, n_s in enumerate(cfg.n_s_values):
+        curves, opt_mags = lockstep_curves(cfg, n_s, horizon)
+        # every step to the horizon, summed in trial order
+        full = np.add.accumulate(curves, axis=0)[-1] / cfg.trials
+        mean_opt = float(opt_mags.mean())
+        for res in results:
+            hits = np.nonzero(full >= res.alpha * mean_opt)[0]
+            p = res.points[i]
+            assert p.hitting_time == (int(hits[0]) if hits.size else None)
+            assert np.array_equal(p.mean_curve, full[: len(p.mean_curve)])
+        top = results[-1].points[i].hitting_time
+        assert len(p.mean_curve) == (horizon + 1 if top is None else top + 1)
+    assert results[-1].points[0].hitting_time is not None
+    assert results[-1].points[1].hitting_time is None
 
 
 def test_hitting_time_requires_origin_init():

@@ -66,6 +66,8 @@ def test_grid_single_transmitter_degenerates_to_pass():
     ch = ChannelRealization(a=[1.5], phi=[0.3])
     report = verify_local_equals_global(ch, 1.0, GridSpec(resolution=8, n_s=1))
     assert report.passed
+    assert report.violations == 0
+    assert report.best_point == (0.0,)
     assert report.best_mag == pytest.approx(1.5)
 
 

@@ -195,7 +195,7 @@ def test_alpha_stop_terminates_each_seeded_run():
     for seed in range(20):
         ch = generate_channel(10, rng)
         traj = run_trajectory(
-            ch, spec, POWER, "zero", StopRule.alpha_fraction(0.9, 4000), seed=seed,
+            ch, spec, POWER, "zero", StopRule(4000, alpha=0.9), seed=seed,
             record_thetas=False,
         )
         assert traj.converged is True
@@ -207,14 +207,14 @@ def test_eps_stop_and_horizon_flag():
     spec = PerturbationSpec(delta0=math.pi / 90)
     eps = 0.1 * optimal_magnitude(ch, 1.0)
     traj = run_trajectory(
-        ch, spec, POWER, "zero", StopRule.eps_region(eps, 4000), seed=0,
+        ch, spec, POWER, "zero", StopRule(4000, eps=eps), seed=0,
         record_thetas=False,
     )
     assert traj.converged is True
     assert epsilon_region_contains(ch, traj.final_theta, 1.0, eps)
     # starving the budget reports failure as a flag, not an exception
     short = run_trajectory(
-        ch, spec, POWER, "zero", StopRule.eps_region(eps, 3), seed=0,
+        ch, spec, POWER, "zero", StopRule(3, eps=eps), seed=0,
         record_thetas=False,
     )
     assert short.converged is False
@@ -225,7 +225,7 @@ def test_threshold_met_at_initial_point_runs_zero_steps():
     ch = ChannelRealization(a=[1.0], phi=[0.4])
     traj = run_trajectory(
         ch, PerturbationSpec(delta0=0.1), POWER, "zero",
-        StopRule.alpha_fraction(1.0, 100), seed=1,
+        StopRule(100, alpha=1.0), seed=1,
     )
     assert traj.converged is True
     assert traj.n_steps == 0
@@ -237,9 +237,9 @@ def test_stop_rule_validation():
     with pytest.raises(ValueError):
         StopRule(max_steps=10, eps=1.0, alpha=0.5)
     with pytest.raises(ValueError):
-        StopRule.alpha_fraction(1.5, 10)
+        StopRule(10, alpha=1.5)
     with pytest.raises(ValueError):
-        StopRule.eps_region(0.0, 10)
+        StopRule(10, eps=0.0)
 
 
 def test_strict_greater_predicate_reproduces_one_bit_step():
