@@ -23,7 +23,8 @@ def main() -> int:
     grid = ",".join(str(n) for n in range(10, 101, 10))
     common = ["--seed", str(args.seed)]
     jobs = [
-        ["sample-path", "--n-s", "10", "--delta0", "pi/30", "--runs", "3",
+        ["sample-path", "--n-s", "10", "--delta0", "pi/30", "--trials", "3",
+         "--init-mode", "uniform", "--channel-policy", "fixed-across-trials",
          "--horizon", "6000", "--out", f"{args.out}/sample-paths"],
         ["hitting-time", "--n-s", grid, "--alpha", "0.5,0.7,0.9",
          "--delta0", "pi/90", "--trials", str(args.trials),

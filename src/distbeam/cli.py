@@ -18,7 +18,6 @@ import numpy as np
 
 from .channel import (
     TWO_PI,
-    PowerConfig,
     epsilon_region_contains,
     generate_channel,
     optimal_magnitude,
@@ -77,8 +76,7 @@ def _build_parser() -> _Parser:
             p.set_defaults(cfg_kind=name)
         return p
 
-    p = add("sample-path", "trajectories from random initial points over one fixed channel")
-    p.add_argument("--runs", type=int, default=3, help="number of sample paths")
+    add("sample-path", "one magnitude curve per trial over a single n_s")
     add("hitting-time", "time for the mean magnitude to reach alpha times the mean optimum, per n_s")
     add("avg-convergence", "mean per-run first-passage time to alpha times the optimum, per n_s")
     p = add("verify", "run a verification check on a generated channel")
@@ -130,11 +128,11 @@ def emit_reproduction_bundle(
 
 
 def _run_sample_path(args, config: ExperimentConfig) -> int:
-    curves, reached = run_sample_paths(config, args.runs)
+    curves, reached = run_sample_paths(config)
     summary = key_value_text(
         {
             "subcommand": "sample-path",
-            "runs": args.runs,
+            "runs": config.trials,
             "n_s": config.n_s_values[0],
             "steps": ",".join(str(len(c) - 1) for c in curves),
             "final_mags": ",".join(repr(c[-1].item()) for c in curves),
@@ -146,7 +144,7 @@ def _run_sample_path(args, config: ExperimentConfig) -> int:
         args.out,
     )
     print(
-        f"sample-path: {args.runs} runs, n_s={config.n_s_values[0]}, "
+        f"sample-path: {config.trials} runs, n_s={config.n_s_values[0]}, "
         f"wrote {args.out}/sample_paths.csv"
     )
     if reached is not None and not reached.all():
@@ -206,7 +204,9 @@ def _run_avg_convergence(args, config: ExperimentConfig) -> int:
 
 
 def _run_verify(args, config: ExperimentConfig) -> int:
-    n_s = config.n_s_values[0]
+    n_s = config.single_n_s()
+    if args.check == "increment" and config.sigma2 > 0:
+        raise ValueError("sigma2 must be 0: the increment check is defined for noiseless runs")
     rng = np.random.default_rng(config.master_seed)
     channel = generate_channel(n_s, rng)
     if args.check == "shift-invariance":
@@ -232,12 +232,12 @@ def _run_verify(args, config: ExperimentConfig) -> int:
         )
     else:  # increment
         # the trajectory keeps a bit, a magnitude and an increment per step
-        _check_fits(1, n_s, 3 * config.horizon_for(n_s))
+        _check_fits(1, n_s, 8 * 3 * config.horizon_for(n_s))
         traj = run_trajectory(
             channel,
             config.perturbation(),
-            PowerConfig(P=config.P),
-            "zero",
+            config.power(),
+            config.init_mode,
             StopRule.steps(config.horizon_for(n_s)),
             seed=rng,
             record_thetas=False,
@@ -265,7 +265,7 @@ def _sizes(args, config: ExperimentConfig) -> str:
     and horizon, then the subcommand's own size flags."""
     sizes = {key: CONFIG_SCHEMA[key].format(getattr(config, CONFIG_SCHEMA[key].field))
              for key in ("n_s", "trials", "horizon")}
-    sizes.update((name, getattr(args, name)) for name in ("runs", "samples", "resolution")
+    sizes.update((name, getattr(args, name)) for name in ("samples", "resolution")
                  if hasattr(args, name))
     return key_value_text(sizes, " ").rstrip()
 

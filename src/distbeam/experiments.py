@@ -117,6 +117,12 @@ class ExperimentConfig:
     def horizon_for(self, n_s: int) -> int:
         return self.horizon if self.horizon is not None else 200 * n_s
 
+    def single_n_s(self) -> int:
+        """The n_s of a run over one channel size: sample paths and verify checks."""
+        if len(self.n_s_values) != 1:
+            raise ValueError(f"expected a single n_s, got n_s={','.join(map(str, self.n_s_values))}")
+        return self.n_s_values[0]
+
     def power(self) -> PowerConfig:
         return PowerConfig(
             P=self.P, sigma2=self.sigma2, averaging_slots=self.averaging_slots
@@ -231,13 +237,18 @@ def shared_channel_seed_sequence(master_seed: int, n_s: int) -> np.random.SeedSe
 
 # Python objects behind one trial (its generator and channel), about 1.5 kB
 _ROW_OBJECT_BYTES = 2048
+# peak-RSS bytes a budget sample-path run holds, measured with getrusage: each
+# step's row copy is its own array object, and each value is a float in that
+# copy and in the stacked curves, then a line of CSV text
+_STEP_ROW_BYTES = 192
+_SAMPLE_VALUE_BYTES = 16 + 148
 
 
-def _check_fits(rows: int, n_s: int, held_floats: int = 0) -> None:
+def _check_fits(rows: int, n_s: int, held_bytes: int = 0) -> None:
     """Refuse a run up front, before any per-row object exists, when its
-    phasors, per-row objects and the ``held_floats`` floats its study keeps
-    alone exceed physical memory."""
-    need = rows * (16 * n_s + _ROW_OBJECT_BYTES) + 8 * held_floats
+    phasors, per-row objects and the ``held_bytes`` its study keeps alone
+    exceed physical memory."""
+    need = rows * (16 * n_s + _ROW_OBJECT_BYTES) + held_bytes
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError(f"a run of {rows} rows needs at least {need} bytes")
 
@@ -285,28 +296,20 @@ def _run_lockstep(
     return opt_mags, float(dev.max())
 
 
-def run_sample_paths(
-    config: ExperimentConfig, count: int
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Fig-1 style runs: one fixed channel, ``count`` runs from distinct
-    uniform-random initial points, stepped as one lockstep batch.
+def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """``config.trials`` runs at one n_s, stepped as one lockstep batch; Fig 1 is
+    ``init_mode="uniform"`` with ``channel_policy="fixed-across-trials"``.
 
     Returns each run's magnitude curve from t = 0, up to the horizon or to its
     first step inside the eps region, and whether each run reached that region
     (None without ``config.eps``)."""
     if config.kind != "sample-path":
         raise ValueError(f"config kind is {config.kind!r}, expected 'sample-path'")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if len(config.n_s_values) != 1:
-        raise ValueError("sample-path runs use a single n_s value")
-    n_s = config.n_s_values[0]
+    n_s = config.single_n_s()
     horizon = config.horizon_for(n_s)
     # an eps-stopped run may stop at t=0, so only a budget run must hold its curves
-    _check_fits(count, n_s, 0 if config.eps is not None else count * (horizon + 1))
-    runs = dataclasses.replace(
-        config, trials=count, init_mode="uniform", channel_policy="fixed-across-trials"
-    )
+    held = (horizon + 1) * (_STEP_ROW_BYTES + config.trials * _SAMPLE_VALUE_BYTES)
+    _check_fits(config.trials, n_s, 0 if config.eps is not None else held)
     eps = config.eps
     steps = []
 
@@ -314,8 +317,8 @@ def run_sample_paths(
         steps.append(cur.copy())
         return eps is not None and (cur > opt - eps).all()
 
-    opt_mags, _ = _run_lockstep(runs, n_s, horizon, record)
-    mags = np.array(steps)  # (steps run + 1, count)
+    opt_mags, _ = _run_lockstep(config, n_s, horizon, record)
+    mags = np.array(steps)  # (steps run + 1, trials)
     if eps is None:
         return list(mags.T), None
     inside = mags > opt_mags - eps
@@ -377,7 +380,7 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     per_ns, max_dev = [], 0.0
     for n_s in config.n_s_values:
         horizon = config.horizon_for(n_s)
-        _check_fits(config.trials, n_s, horizon + 1)
+        _check_fits(config.trials, n_s, 8 * (horizon + 1))
         sums = np.empty(horizon + 1)
         top = last = 0
 

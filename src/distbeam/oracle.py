@@ -59,7 +59,6 @@ class LocalMaxReport:
     resolution: int
     tol: float
     violations: int
-    violation_points: tuple[tuple[float, ...], ...]
     best_mag: float
     opt_mag: float
     best_point: tuple[float, ...]
@@ -125,16 +124,11 @@ def verify_local_equals_global(
     strict_local_max = mags - neighbor_max > tol
     non_global = mags < opt - tol
     violating = strict_local_max & non_global
-    idxs = np.argwhere(violating)
-    points = tuple(
-        (0.0,) + tuple(float(i * cell) for i in idx) for idx in idxs[:10]
-    )
     return LocalMaxReport(
         n_s=channel.n_s,
         resolution=grid.resolution,
         tol=tol,
         violations=int(violating.sum()),
-        violation_points=points,
         best_mag=best_mag,
         opt_mag=opt,
         best_point=best_point,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distbeam
-from distbeam import cli, parse_config_text
+from distbeam import cli, experiments, parse_config_text
 from distbeam.cli import emit_reproduction_bundle, parse_and_dispatch
 from distbeam.experiments import (
     CHANNEL_POLICIES,
@@ -141,8 +141,9 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
           "--horizon", "4611686018427387904"], "horizon=4611686018427387904"),
         (["hitting-time", "--n-s", "4", "--trials", "1000000000000000",
           "--horizon", "1"], "trials=1000000000000000"),
-        (["sample-path", "--n-s", "4", "--runs", "1000000000000000"],
-         "runs=1000000000000000"),
+        (["sample-path", "--n-s", "4", "--trials", "1000000000000000",
+          "--init-mode", "uniform", "--channel-policy", "fixed-across-trials"],
+         "trials=1000000000000000"),
         (["verify", "--check", "increment", "--n-s", "4",
           "--horizon", "100000000000000000000"], "horizon=100000000000000000000"),
     ],
@@ -158,6 +159,47 @@ def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def _no_step(*args):
+    raise AssertionError("the run started stepping")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["verify", "--check", "increment", "--n-s", "4", "--sigma2", "0.5"], "sigma2"),
+        (["verify", "--n-s", "50,60"], "single n_s, got n_s=50,60"),
+        (["sample-path", "--n-s", "5,10", "--horizon", "5"], "single n_s, got n_s=5,10"),
+    ],
+    ids=["verify-increment-sigma2", "verify-n_s", "sample-path-n_s"],
+)
+def test_settings_a_run_cannot_honour_exit_1_naming_key(argv, key, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(cli, "run_trajectory", _no_step)
+    monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
+    rc = parse_and_dispatch(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the curve's floats take a quarter of physical memory; the per-step row
+    # objects and the CSV text of every value do not fit
+    horizon = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 32
+    monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
+    rc = parse_and_dispatch(
+        ["sample-path", "--n-s", "4", "--trials", "1", "--horizon", str(horizon),
+         "--out", str(tmp_path / "x")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"horizon={horizon}" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -186,7 +228,8 @@ def test_bad_seed_exits_1_naming_master_seed(capsys):
 
 def test_eps_stopped_sample_paths_are_not_refused_for_their_budget(tmp_path):
     # with one transmitter every run starts in the eps region and takes no step
-    rc = parse_and_dispatch(["sample-path", "--n-s", "1", "--eps", "0.5", "--runs", "2",
+    rc = parse_and_dispatch(["sample-path", "--n-s", "1", "--eps", "0.5", "--trials", "2",
+                             "--init-mode", "uniform", "--channel-policy", "fixed-across-trials",
                              "--horizon", "100000000000000", "--out", str(tmp_path)])
     assert rc == 0
     assert read(tmp_path / "sample_paths.csv").count("\n") == 3
@@ -312,7 +355,8 @@ def test_invalid_config_value_exits_1(capsys, tmp_path):
 def test_sample_path_bundle(tmp_path, capsys):
     out = tmp_path / "fig1"
     rc = parse_and_dispatch(
-        ["sample-path", "--n-s", "6", "--delta0", "pi/30", "--runs", "3",
+        ["sample-path", "--n-s", "6", "--delta0", "pi/30", "--trials", "3",
+         "--init-mode", "uniform", "--channel-policy", "fixed-across-trials",
          "--horizon", "200", "--seed", "5", "--out", str(out)]
     )
     assert rc == 0
@@ -328,21 +372,36 @@ def test_sample_path_bundle(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_hitting_time_bundle_and_rerun_is_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "args,csv_name,header,rows",
+    [
+        (["hitting-time", "--n-s", "4,8", "--trials", "10", "--alpha", "0.5,0.9",
+          "--delta0", "pi/30", "--seed", "11"],
+         "hitting_time.csv", "n_s,alpha,hitting_time,slope,intercept,r2", 1 + 4),
+        (["avg-convergence", "--n-s", "4,8", "--trials", "10", "--alpha", "0.5,0.9",
+          "--delta0", "pi/30", "--seed", "2"],
+         "avg_convergence.csv", "n_s,alpha,mean_time,std_time,censored", 1 + 4),
+        # origin init and per-trial channels: the resolved config, not a fixed
+        # sample-path protocol, decides the runs
+        (["sample-path", "--n-s", "5", "--trials", "4", "--horizon", "50", "--seed", "3"],
+         "sample_paths.csv", "step,run_id,mag", 1 + 4 * 51),
+    ],
+    ids=["hitting-time", "avg-convergence", "sample-path"],
+)
+def test_rerun_from_resolved_cfg_is_byte_identical(args, csv_name, header, rows, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    args = ["hitting-time", "--n-s", "4,8", "--trials", "10", "--alpha", "0.5,0.9",
-            "--delta0", "pi/30", "--seed", "11"]
     assert parse_and_dispatch(args + ["--out", str(out1)]) == 0
     assert parse_and_dispatch(
-        ["hitting-time", "--config", str(out1 / "resolved.cfg"), "--out", str(out2)]
+        [args[0], "--config", str(out1 / "resolved.cfg"), "--out", str(out2)]
     ) == 0
-    assert read(out1 / "hitting_time.csv") == read(out2 / "hitting_time.csv")
-    assert read(out1 / "resolved.cfg") == read(out2 / "resolved.cfg")
-    assert manifest_dict(out1) == manifest_dict(out2)
-    csv = read(out1 / "hitting_time.csv").splitlines()
-    assert csv[0] == "n_s,alpha,hitting_time,slope,intercept,r2"
-    assert len(csv) == 1 + 4
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    for name in files:
+        assert read(out1 / name) == read(out2 / name), name
+    csv = read(out1 / csv_name).splitlines()
+    assert csv[0] == header
+    assert len(csv) == rows
 
 
 def test_hitting_time_unresolved_exits_2(tmp_path, capsys):
@@ -408,7 +467,8 @@ def test_verify_improvement_needs_multiple_transmitters(tmp_path, capsys):
 
 def test_sample_path_eps_stop_unreached_exits_2(tmp_path):
     rc = parse_and_dispatch(
-        ["sample-path", "--n-s", "8", "--delta0", "pi/90", "--runs", "2",
+        ["sample-path", "--n-s", "8", "--delta0", "pi/90", "--trials", "2",
+         "--init-mode", "uniform", "--channel-policy", "fixed-across-trials",
          "--eps", "0.001", "--horizon", "3", "--seed", "1",
          "--out", str(tmp_path / "sp")]
     )

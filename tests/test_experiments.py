@@ -363,8 +363,9 @@ def test_sample_paths_protocol():
     cfg = ExperimentConfig(
         kind="sample-path", n_s_values=(10,), delta0=math.pi / 30,
         horizon=300, master_seed=12,
+        trials=3, init_mode="uniform", channel_policy="fixed-across-trials",
     )
-    curves, reached = run_sample_paths(cfg, count=3)
+    curves, reached = run_sample_paths(cfg)
     assert len(curves) == 3
     assert reached is None
     # distinct initial points
@@ -372,7 +373,7 @@ def test_sample_paths_protocol():
     for c in curves:
         assert c.shape == (301,)
         assert np.all(np.diff(c) >= 0)
-    again, _ = run_sample_paths(cfg, count=3)
+    again, _ = run_sample_paths(cfg)
     for a, b in zip(curves, again):
         assert np.array_equal(a, b)
 
@@ -387,8 +388,9 @@ def test_sample_paths_match_trajectories_on_the_shared_channel(eps, expected):
     cfg = ExperimentConfig(
         kind="sample-path", n_s_values=(6,), delta0=math.pi / 30,
         horizon=400, master_seed=4, eps=eps,
+        trials=4, init_mode="uniform", channel_policy="fixed-across-trials",
     )
-    curves, reached = run_sample_paths(cfg, count=4)
+    curves, reached = run_sample_paths(cfg)
     channel = shared_channel(cfg)
     for k, curve in enumerate(curves):
         traj = run_trajectory(
@@ -404,28 +406,30 @@ def test_sample_paths_reach_near_optimum():
     cfg = ExperimentConfig(
         kind="sample-path", n_s_values=(10,), delta0=math.pi / 30,
         horizon=10_000, master_seed=21,
+        trials=3, init_mode="uniform", channel_policy="fixed-across-trials",
     )
     opt = math.sqrt(cfg.P) * shared_channel(cfg).a.sum()
-    for curve in run_sample_paths(cfg, count=3)[0]:
+    for curve in run_sample_paths(cfg)[0]:
         assert np.any(curve >= 0.99 * opt)
 
 
 def test_sample_paths_validation():
-    cfg = ExperimentConfig(kind="sample-path", n_s_values=(5, 10))
+    cfg = ExperimentConfig(kind="sample-path", n_s_values=(5, 10), trials=2)
     with pytest.raises(ValueError, match="single n_s"):
-        run_sample_paths(cfg, 2)
+        run_sample_paths(cfg)
     with pytest.raises(ValueError, match="kind"):
-        run_sample_paths(ExperimentConfig(kind="hitting-time"), 2)
-    with pytest.raises(ValueError, match="count"):
-        run_sample_paths(ExperimentConfig(kind="sample-path"), 0)
+        run_sample_paths(ExperimentConfig(kind="hitting-time"))
+    with pytest.raises(ValueError, match="trials"):
+        run_sample_paths(ExperimentConfig(kind="sample-path", trials=0))
 
 
 def test_sample_paths_csv_format():
     cfg = ExperimentConfig(
         kind="sample-path", n_s_values=(4,), delta0=math.pi / 30, horizon=5,
         master_seed=3,
+        trials=2, init_mode="uniform", channel_policy="fixed-across-trials",
     )
-    text = sample_paths_csv(run_sample_paths(cfg, count=2)[0])
+    text = sample_paths_csv(run_sample_paths(cfg)[0])
     lines = text.strip().splitlines()
     assert lines[0] == "step,run_id,mag"
     assert len(lines) == 1 + 2 * 6
