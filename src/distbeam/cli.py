@@ -47,7 +47,18 @@ from .oracle import (
 )
 from .search import StopRule, run_trajectory
 
-VERIFY_CHECKS = ("shift-invariance", "local-global", "improvement", "increment")
+_ORACLE_KEYS = ("n_s", "master_seed", "P")
+# the config keys each verify check and each study reads; a run refuses any
+# other key but kind that is away from its default
+_READS = {
+    "shift-invariance": _ORACLE_KEYS,
+    "local-global": _ORACLE_KEYS,
+    "improvement": (*_ORACLE_KEYS, "delta0"),
+    "increment": (*_ORACLE_KEYS, "delta0", "init_mode", "horizon"),
+    "sample-path": tuple(key for key in CONFIG_SCHEMA if key != "alpha"),
+    "hitting-time": tuple(key for key in CONFIG_SCHEMA if key != "eps"),
+    "avg-convergence": tuple(key for key in CONFIG_SCHEMA if key != "eps"),
+}
 
 
 class _UsageError(Exception):
@@ -80,7 +91,8 @@ def _build_parser() -> _Parser:
     add("hitting-time", "time for the mean magnitude to reach alpha times the mean optimum, per n_s")
     add("avg-convergence", "mean per-run first-passage time to alpha times the optimum, per n_s")
     p = add("verify", "run a verification check on a generated channel")
-    p.add_argument("--check", choices=VERIFY_CHECKS, default="shift-invariance")
+    p.add_argument("--check", choices=[run for run in _READS if run not in EXPERIMENT_KINDS],
+                   default="shift-invariance")
     p.add_argument("--resolution", type=int, default=720, help="grid resolution for local-global")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples for improvement")
     add("show-config", "print the materialized config")
@@ -99,6 +111,19 @@ def _resolve_config(args) -> ExperimentConfig:
     return config_from_items(items, base=base)
 
 
+def _refuse_unread_keys(args, config: ExperimentConfig) -> None:
+    """Refuse, naming it, the first key but kind that the run does not read
+    and that is away from its default: the run would drop it silently."""
+    run = getattr(args, "check", args.subcommand)
+    default = ExperimentConfig()
+    for key, row in CONFIG_SCHEMA.items():
+        value, usual = getattr(config, row.field), getattr(default, row.field)
+        if key != "kind" and key not in _READS[run] and value != usual:
+            name = f"verify --check {run}" if hasattr(args, "check") else run
+            raise ValueError(f"{name} does not read {key}: got {key}={row.format(value)}, "
+                             f"expected the default {key}={row.format(usual)}")
+
+
 def emit_reproduction_bundle(
     config: ExperimentConfig, results: dict[str, str], outdir
 ) -> dict[str, str]:
@@ -113,8 +138,7 @@ def emit_reproduction_bundle(
     files = dict(results)
     files["resolved.cfg"] = dump_config(config)
     for name, text in files.items():
-        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        (outdir / name).write_text(text, encoding="utf-8", newline="\n")
     manifest = {
         "seed": str(config.master_seed),
         "config": "resolved.cfg",
@@ -122,91 +146,45 @@ def emit_reproduction_bundle(
     }
     for name in sorted(files):
         manifest[f"sha256.{name}"] = hashlib.sha256(files[name].encode("utf-8")).hexdigest()
-    with open(outdir / "manifest.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(key_value_text(manifest))
+    (outdir / "manifest.txt").write_text(key_value_text(manifest), encoding="utf-8", newline="\n")
     return manifest
 
 
-def _run_sample_path(args, config: ExperimentConfig) -> int:
-    curves, reached = run_sample_paths(config)
-    summary = key_value_text(
-        {
-            "subcommand": "sample-path",
-            "runs": config.trials,
-            "n_s": config.n_s_values[0],
-            "steps": ",".join(str(len(c) - 1) for c in curves),
-            "final_mags": ",".join(repr(c[-1].item()) for c in curves),
-        }
-    )
-    emit_reproduction_bundle(
-        config,
-        {"sample_paths.csv": sample_paths_csv(curves), "summary.txt": summary},
-        args.out,
-    )
-    print(
-        f"sample-path: {config.trials} runs, n_s={config.n_s_values[0]}, "
-        f"wrote {args.out}/sample_paths.csv"
-    )
-    if reached is not None and not reached.all():
-        return 2
-    return 0
-
-
-def _run_hitting_time(args, config: ExperimentConfig) -> int:
-    results = run_hitting_time_sweep(config)
-    unresolved = sum(p.hitting_time is None for r in results for p in r.points)
-    summary = key_value_text(
-        {
-            "subcommand": "hitting-time",
-            "alphas": ",".join(repr(a) for a in config.alpha),
-            "n_s": ",".join(str(n) for n in config.n_s_values),
-            "trials": config.trials,
-            "unresolved": unresolved,
-            "increment_identity_max_dev": repr(results[0].increment_identity_max_dev),
-        }
-    )
-    emit_reproduction_bundle(
-        config,
-        {"hitting_time.csv": hitting_time_csv(results), "summary.txt": summary},
-        args.out,
-    )
-    print(
-        f"hitting-time: {len(results)} alphas x {len(config.n_s_values)} n_s, "
-        f"{unresolved} unresolved, wrote {args.out}/hitting_time.csv"
-    )
-    return 2 if unresolved else 0
-
-
-def _run_avg_convergence(args, config: ExperimentConfig) -> int:
-    results = run_avg_convergence_sweep(config)
-    censored = sum(p.censored for r in results for p in r.points)
-    empty = sum(p.trials == 0 for r in results for p in r.points)
-    summary = key_value_text(
-        {
-            "subcommand": "avg-convergence",
-            "alphas": ",".join(repr(a) for a in config.alpha),
-            "n_s": ",".join(str(n) for n in config.n_s_values),
-            "trials": config.trials,
-            "censored_total": censored,
-            "increment_identity_max_dev": repr(results[0].increment_identity_max_dev),
-        }
-    )
-    emit_reproduction_bundle(
-        config,
-        {"avg_convergence.csv": avg_convergence_csv(results), "summary.txt": summary},
-        args.out,
-    )
-    print(
-        f"avg-convergence: {len(results)} alphas x {len(config.n_s_values)} n_s, "
-        f"{censored} censored, wrote {args.out}/avg_convergence.csv"
-    )
-    return 2 if empty else 0
+def _run_study(args, config: ExperimentConfig) -> int:
+    """Run ``config.kind``'s study, write its bundle (the CSV and a summary.txt
+    of the subcommand then the study's own keys) and print one line. Exit code
+    2 when the study missed: a run outside the eps region at its horizon, an
+    unresolved hitting time, or a first-passage point with every run censored."""
+    kind, n_s = config.kind, CONFIG_SCHEMA["n_s"].format(config.n_s_values)
+    if kind == "sample-path":
+        curves, reached = run_sample_paths(config)
+        csv_name, csv = "sample_paths.csv", sample_paths_csv(curves)
+        keys = {"runs": config.trials, "n_s": n_s,
+                "steps": ",".join(str(len(c) - 1) for c in curves),
+                "final_mags": ",".join(repr(c[-1].item()) for c in curves)}
+        line = f"{config.trials} runs, n_s={n_s}"
+        missed = reached is not None and not reached.all()
+    else:
+        hitting = kind == "hitting-time"
+        results = (run_hitting_time_sweep if hitting else run_avg_convergence_sweep)(config)
+        csv_name = kind.replace("-", "_") + ".csv"
+        csv = (hitting_time_csv if hitting else avg_convergence_csv)(results)
+        points = [p for r in results for p in r.points]
+        count = sum((p.hitting_time is None) if hitting else p.censored for p in points)
+        keys = {"alphas": CONFIG_SCHEMA["alpha"].format(config.alpha), "n_s": n_s,
+                "trials": config.trials, "unresolved" if hitting else "censored_total": count,
+                "increment_identity_max_dev": repr(results[0].increment_identity_max_dev)}
+        line = (f"{len(results)} alphas x {len(config.n_s_values)} n_s, "
+                f"{count} {'unresolved' if hitting else 'censored'}")
+        missed = count > 0 if hitting else any(p.trials == 0 for p in points)
+    summary = key_value_text({"subcommand": kind, **keys})
+    emit_reproduction_bundle(config, {csv_name: csv, "summary.txt": summary}, args.out)
+    print(f"{kind}: {line}, wrote {args.out}/{csv_name}")
+    return 2 if missed else 0
 
 
 def _run_verify(args, config: ExperimentConfig) -> int:
     n_s = config.single_n_s()
-    if args.check == "increment" and config.sigma2 > 0:
-        raise ValueError("sigma2 must be 0: the increment check is defined for noiseless runs")
     rng = np.random.default_rng(config.master_seed)
     channel = generate_channel(n_s, rng)
     if args.check == "shift-invariance":
@@ -247,17 +225,8 @@ def _run_verify(args, config: ExperimentConfig) -> int:
     print(text, end="")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / f"verify_{args.check}.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    (outdir / f"verify_{args.check}.txt").write_text(text, encoding="utf-8", newline="\n")
     return 0 if report.passed else 2
-
-
-_RUNNERS = {
-    "sample-path": _run_sample_path,
-    "hitting-time": _run_hitting_time,
-    "avg-convergence": _run_avg_convergence,
-    "verify": _run_verify,
-}
 
 
 def _sizes(args, config: ExperimentConfig) -> str:
@@ -279,7 +248,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         if args.subcommand == "show-config":
             print(dump_config(config), end="")
             return 0
-        return _RUNNERS[args.subcommand](args, config)
+        _refuse_unread_keys(args, config)
+        return (_run_verify if args.subcommand == "verify" else _run_study)(args, config)
     except (_UsageError, ValueError, OSError) as exc:
         message = str(exc)
     except MemoryError:  # before the config resolved there are no sizes to name

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,8 +54,29 @@ class GridSpec:
         return TWO_PI / self.resolution
 
 
+class _Report:
+    """A check's result. ``to_text`` renders ``check``, then ``status`` (the
+    report's own field if it has one, else pass or fail), then every scalar
+    field in declaration order: floats by ``repr``, None as an empty value."""
+
+    check: ClassVar[str]
+
+    def to_text(self) -> str:
+        # a status field overwrites the pass/fail value in its place
+        text = {"check": self.check, "status": "pass" if self.passed else "fail"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                value = repr(value)
+            if not isinstance(value, (tuple, np.ndarray)):
+                text[f.name] = "" if value is None else value
+        return key_value_text(text)
+
+
 @dataclass(frozen=True)
-class LocalMaxReport:
+class LocalMaxReport(_Report):
+    check = "local-global"
+
     n_s: int
     resolution: int
     tol: float
@@ -67,19 +89,6 @@ class LocalMaxReport:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def to_text(self) -> str:
-        return key_value_text(
-            {
-                "check": "local-global",
-                "status": "pass" if self.passed else "fail",
-                "n_s": self.n_s,
-                "resolution": self.resolution,
-                "tol": repr(self.tol),
-                "violations": self.violations,
-                "best_mag": repr(self.best_mag),
-                "opt_mag": repr(self.opt_mag),
-            },
-        )
 
 
 def _grid_magnitudes(channel: ChannelRealization, P: float, resolution: int):
@@ -136,10 +145,12 @@ def verify_local_equals_global(
 
 
 @dataclass(frozen=True)
-class ImprovementEstimate:
+class ImprovementEstimate(_Report):
     """Monte Carlo estimate of the improvement margin and its probability at
     one probe point, plus the step-budget diagnostic
     k0_diag = ceil(sqrt(P) max_i a_i / (gamma_hat eta_hat))."""
+
+    check = "improvement-probability"
 
     status: str
     gamma_hat: float | None
@@ -155,20 +166,6 @@ class ImprovementEstimate:
     def passed(self) -> bool:
         return self.status == "ok"
 
-    def to_text(self) -> str:
-        return key_value_text(
-            {
-                "check": "improvement-probability",
-                "status": self.status,
-                "gamma_hat": "" if self.gamma_hat is None else repr(self.gamma_hat),
-                "eta_hat": "" if self.eta_hat is None else repr(self.eta_hat),
-                "k0_diag": "" if self.k0_diag is None else self.k0_diag,
-                "samples": self.samples,
-                "mag_at_theta": repr(self.mag_at_theta),
-                "opt_mag": repr(self.opt_mag),
-                "eps": repr(self.eps),
-            },
-        )
 
 
 def estimate_improvement_probability(
@@ -237,7 +234,9 @@ def estimate_improvement_probability(
 
 
 @dataclass(frozen=True)
-class ShiftInvarianceReport:
+class ShiftInvarianceReport(_Report):
+    check = "shift-invariance"
+
     n_s: int
     trials: int
     max_dev_rel: float
@@ -247,17 +246,6 @@ class ShiftInvarianceReport:
     def passed(self) -> bool:
         return self.max_dev_rel <= self.tol
 
-    def to_text(self) -> str:
-        return key_value_text(
-            {
-                "check": "shift-invariance",
-                "status": "pass" if self.passed else "fail",
-                "n_s": self.n_s,
-                "trials": self.trials,
-                "max_dev_rel": repr(self.max_dev_rel),
-                "tol": repr(self.tol),
-            },
-        )
 
 
 def verify_shift_invariance(
@@ -284,7 +272,9 @@ def verify_shift_invariance(
 
 
 @dataclass(frozen=True)
-class IncrementReport:
+class IncrementReport(_Report):
+    check = "monotone-increment"
+
     n_steps: int
     first_violation_step: int | None
     telescope_dev_rel: float
@@ -294,19 +284,6 @@ class IncrementReport:
     def passed(self) -> bool:
         return self.first_violation_step is None and self.telescope_dev_rel <= self.tol
 
-    def to_text(self) -> str:
-        return key_value_text(
-            {
-                "check": "monotone-increment",
-                "status": "pass" if self.passed else "fail",
-                "n_steps": self.n_steps,
-                "first_violation_step": ""
-                if self.first_violation_step is None
-                else self.first_violation_step,
-                "telescope_dev_rel": repr(self.telescope_dev_rel),
-                "tol": repr(self.tol),
-            },
-        )
 
 
 def verify_monotone_and_increment(

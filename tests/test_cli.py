@@ -172,13 +172,31 @@ def _no_step(*args):
         (["verify", "--check", "increment", "--n-s", "4", "--sigma2", "0.5"], "sigma2"),
         (["verify", "--n-s", "50,60"], "single n_s, got n_s=50,60"),
         (["sample-path", "--n-s", "5,10", "--horizon", "5"], "single n_s, got n_s=5,10"),
+        # the first key, in config order, that the run does not read
+        (["verify", "--check", "improvement", "--n-s", "6", "--sigma2", "0.5", "--trials", "7",
+          "--channel-policy", "fixed-across-trials"], "does not read trials: got trials=7"),
+        (["verify", "--n-s", "6", "--delta0", "pi/30"], "does not read delta0"),
+        (["verify", "--check", "local-global", "--n-s", "2", "--init-mode", "uniform"],
+         "does not read init_mode: got init_mode=uniform"),
+        (["hitting-time", "--n-s", "4", "--eps", "0.3"], "does not read eps: got eps=0.3"),
+        (["avg-convergence", "--n-s", "4", "--eps", "0.3"], "does not read eps: got eps=0.3"),
+        (["sample-path", "--n-s", "4", "--alpha", "0.3"], "does not read alpha: got alpha=0.3"),
+        (["sample-path", "--config", "hitting-time.cfg"],
+         "does not read alpha: got alpha=0.5,0.7,0.9"),
     ],
-    ids=["verify-increment-sigma2", "verify-n_s", "sample-path-n_s"],
+    ids=["verify-increment-sigma2", "verify-n_s", "sample-path-n_s", "verify-improvement",
+         "verify-shift-invariance", "verify-local-global", "hitting-time-eps",
+         "avg-convergence-eps", "sample-path-alpha", "sample-path-config"],
 )
 def test_settings_a_run_cannot_honour_exit_1_naming_key(argv, key, tmp_path, monkeypatch,
                                                          capsys):
+    monkeypatch.setattr(cli, "generate_channel", _no_step)
     monkeypatch.setattr(cli, "run_trajectory", _no_step)
     monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
+    # a hitting-time run's resolved.cfg
+    cfg = tmp_path / "hitting-time.cfg"
+    cfg.write_text(dump_config(ExperimentConfig(alpha=(0.5, 0.7, 0.9))), encoding="utf-8")
+    argv = [str(cfg) if arg == cfg.name else arg for arg in argv]
     rc = parse_and_dispatch(argv + ["--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -402,6 +420,62 @@ def test_rerun_from_resolved_cfg_is_byte_identical(args, csv_name, header, rows,
     csv = read(out1 / csv_name).splitlines()
     assert csv[0] == header
     assert len(csv) == rows
+
+
+@pytest.mark.parametrize(
+    "argv,code,line,summary",
+    [
+        (["sample-path", "--n-s", "4", "--trials", "2", "--horizon", "5", "--seed", "3"], 0,
+         "sample-path: 2 runs, n_s=4, wrote {out}/sample_paths.csv\n",
+         "subcommand=sample-path\nruns=2\nn_s=4\nsteps=5,5\n"
+         "final_mags=2.2932359783673077,0.514134614909645\n"),
+        (["sample-path", "--n-s", "4", "--trials", "2", "--eps", "0.5", "--init-mode", "uniform",
+          "--channel-policy", "fixed-across-trials", "--delta0", "pi/30", "--horizon", "400",
+          "--seed", "1"], 0,
+         "sample-path: 2 runs, n_s=4, wrote {out}/sample_paths.csv\n",
+         "subcommand=sample-path\nruns=2\nn_s=4\nsteps=64,2\n"
+         "final_mags=3.0036294397221046,3.02082939842786\n"),
+        (["sample-path", "--n-s", "8", "--delta0", "pi/90", "--trials", "2", "--init-mode",
+          "uniform", "--channel-policy", "fixed-across-trials", "--eps", "0.001", "--horizon",
+          "3", "--seed", "1"], 2,
+         "sample-path: 2 runs, n_s=8, wrote {out}/sample_paths.csv\n",
+         "subcommand=sample-path\nruns=2\nn_s=8\nsteps=3,3\n"
+         "final_mags=2.7800095373241502,1.2767902734599679\n"),
+        (["hitting-time", "--n-s", "4,8", "--trials", "3", "--alpha", "0.5,0.9", "--delta0",
+          "pi/30", "--seed", "11"], 0,
+         "hitting-time: 2 alphas x 2 n_s, 0 unresolved, wrote {out}/hitting_time.csv\n",
+         "subcommand=hitting-time\nalphas=0.5,0.9\nn_s=4,8\ntrials=3\nunresolved=0\n"
+         "increment_identity_max_dev=0.0\n"),
+        (["hitting-time", "--n-s", "8", "--trials", "5", "--horizon", "2", "--alpha", "0.95",
+          "--delta0", "pi/90"], 2,
+         "hitting-time: 1 alphas x 1 n_s, 1 unresolved, wrote {out}/hitting_time.csv\n",
+         "subcommand=hitting-time\nalphas=0.95\nn_s=8\ntrials=5\nunresolved=1\n"
+         "increment_identity_max_dev=0.0\n"),
+        (["avg-convergence", "--n-s", "4,8", "--trials", "3", "--alpha", "0.5,0.9", "--delta0",
+          "pi/30", "--seed", "2"], 0,
+         "avg-convergence: 2 alphas x 2 n_s, 0 censored, wrote {out}/avg_convergence.csv\n",
+         "subcommand=avg-convergence\nalphas=0.5,0.9\nn_s=4,8\ntrials=3\ncensored_total=0\n"
+         "increment_identity_max_dev=1.167688337778579e-16\n"),
+        (["avg-convergence", "--n-s", "4", "--trials", "4", "--alpha", "0.9", "--delta0",
+          "pi/30", "--horizon", "80", "--seed", "5"], 0,
+         "avg-convergence: 1 alphas x 1 n_s, 2 censored, wrote {out}/avg_convergence.csv\n",
+         "subcommand=avg-convergence\nalphas=0.9\nn_s=4\ntrials=4\ncensored_total=2\n"
+         "increment_identity_max_dev=0.0\n"),
+        (["avg-convergence", "--n-s", "8", "--trials", "4", "--horizon", "1", "--alpha",
+          "0.99"], 2,
+         "avg-convergence: 1 alphas x 1 n_s, 4 censored, wrote {out}/avg_convergence.csv\n",
+         "subcommand=avg-convergence\nalphas=0.99\nn_s=8\ntrials=4\ncensored_total=4\n"
+         "increment_identity_max_dev=0.0\n"),
+    ],
+    ids=["sample-path", "sample-path-eps-reached", "sample-path-eps-unreached",
+         "hitting-time", "hitting-time-unresolved", "avg-convergence",
+         "avg-convergence-some-censored", "avg-convergence-point-censored"],
+)
+def test_study_stdout_summary_and_exit_code(argv, code, line, summary, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert parse_and_dispatch(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == line.format(out=out)
+    assert read(out / "summary.txt") == summary
 
 
 def test_hitting_time_unresolved_exits_2(tmp_path, capsys):

@@ -21,6 +21,12 @@ from distbeam import (
     verify_monotone_and_increment,
     verify_shift_invariance,
 )
+from distbeam.oracle import (
+    ImprovementEstimate,
+    IncrementReport,
+    LocalMaxReport,
+    ShiftInvarianceReport,
+)
 
 
 def test_grid_spec_validation():
@@ -231,3 +237,57 @@ def test_increment_check_rejects_noisy_trajectory():
     )
     with pytest.raises(ValueError, match="noiseless"):
         verify_monotone_and_increment(traj)
+
+
+_THETA = np.array([0.1, 0.2])
+
+
+@pytest.mark.parametrize(
+    "report,text",
+    [
+        (LocalMaxReport(2, 720, 2.5e-09, 0, 1.9999619230641712, 2.0, (0.0, 6.274458616817094)),
+         "check=local-global\nstatus=pass\nn_s=2\nresolution=720\ntol=2.5e-09\n"
+         "violations=0\nbest_mag=1.9999619230641712\nopt_mag=2.0\n"),
+        (LocalMaxReport(3, 180, 1e-09, 4, 3.25, 3.5, (0.0, 1.0, 2.0)),
+         "check=local-global\nstatus=fail\nn_s=3\nresolution=180\ntol=1e-09\n"
+         "violations=4\nbest_mag=3.25\nopt_mag=3.5\n"),
+        (ShiftInvarianceReport(50, 1000, 3.3306690738754696e-16, 1e-12),
+         "check=shift-invariance\nstatus=pass\nn_s=50\ntrials=1000\n"
+         "max_dev_rel=3.3306690738754696e-16\ntol=1e-12\n"),
+        (ShiftInvarianceReport(50, 1000, 2.5e-12, 1e-12),
+         "check=shift-invariance\nstatus=fail\nn_s=50\ntrials=1000\n"
+         "max_dev_rel=2.5e-12\ntol=1e-12\n"),
+        (IncrementReport(2000, None, 1.1102230246251565e-16, 1e-09),
+         "check=monotone-increment\nstatus=pass\nn_steps=2000\nfirst_violation_step=\n"
+         "telescope_dev_rel=1.1102230246251565e-16\ntol=1e-09\n"),
+        (IncrementReport(40, 17, 0.0, 1e-09),
+         "check=monotone-increment\nstatus=fail\nn_steps=40\nfirst_violation_step=17\n"
+         "telescope_dev_rel=0.0\ntol=1e-09\n"),
+        (IncrementReport(40, None, 3e-07, 1e-09),
+         "check=monotone-increment\nstatus=fail\nn_steps=40\nfirst_violation_step=\n"
+         "telescope_dev_rel=3e-07\ntol=1e-09\n"),
+        (ImprovementEstimate("ok", 0.012345678901234568, 0.25, 412, 100000, _THETA, 1.25,
+                             2.0, 0.2),
+         "check=improvement-probability\nstatus=ok\ngamma_hat=0.012345678901234568\n"
+         "eta_hat=0.25\nk0_diag=412\nsamples=100000\nmag_at_theta=1.25\nopt_mag=2.0\n"
+         "eps=0.2\n"),
+        (ImprovementEstimate("in-epsilon-region", None, None, None, 1000, _THETA, 1.95, 2.0,
+                             0.2),
+         "check=improvement-probability\nstatus=in-epsilon-region\ngamma_hat=\neta_hat=\n"
+         "k0_diag=\nsamples=1000\nmag_at_theta=1.95\nopt_mag=2.0\neps=0.2\n"),
+        (ImprovementEstimate("no-improvement-observed", None, None, None, 500, _THETA, 0.5,
+                             2.0, 0.2),
+         "check=improvement-probability\nstatus=no-improvement-observed\ngamma_hat=\n"
+         "eta_hat=\nk0_diag=\nsamples=500\nmag_at_theta=0.5\nopt_mag=2.0\neps=0.2\n"),
+        (ImprovementEstimate("no-improvement-observed", 0.5, 0.0, None, 500, _THETA, 0.5,
+                             2.0, 0.2),
+         "check=improvement-probability\nstatus=no-improvement-observed\ngamma_hat=0.5\n"
+         "eta_hat=0.0\nk0_diag=\nsamples=500\nmag_at_theta=0.5\nopt_mag=2.0\neps=0.2\n"),
+    ],
+    ids=["local-max-pass", "local-max-fail", "shift-pass", "shift-fail", "increment-pass",
+         "increment-drop", "increment-telescope", "improvement-ok", "improvement-in-region",
+         "improvement-none-seen", "improvement-eta-zero"],
+)
+def test_report_text_is_pinned(report, text):
+    # check, status, then every scalar field in order; tuples and arrays left out
+    assert report.to_text() == text
