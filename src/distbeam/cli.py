@@ -48,12 +48,14 @@ from .oracle import (
 from .search import StopRule, run_trajectory
 
 _ORACLE_KEYS = ("n_s", "master_seed", "P")
-# the config keys each verify check and each study reads; a run refuses any
-# other key but kind that is away from its default
+_VERIFY_FLAGS = {"resolution": (720, "grid resolution for local-global"),
+                 "samples": (100_000, "Monte Carlo samples for improvement")}
+# the config keys and verify flags each verify check and each study reads; a
+# run refuses any other key but kind, or flag, that is away from its default
 _READS = {
     "shift-invariance": _ORACLE_KEYS,
-    "local-global": _ORACLE_KEYS,
-    "improvement": (*_ORACLE_KEYS, "delta0"),
+    "local-global": (*_ORACLE_KEYS, "resolution"),
+    "improvement": (*_ORACLE_KEYS, "delta0", "samples"),
     "increment": (*_ORACLE_KEYS, "delta0", "init_mode", "horizon"),
     "sample-path": tuple(key for key in CONFIG_SCHEMA if key != "alpha"),
     "hitting-time": tuple(key for key in CONFIG_SCHEMA if key != "eps"),
@@ -93,8 +95,8 @@ def _build_parser() -> _Parser:
     p = add("verify", "run a verification check on a generated channel")
     p.add_argument("--check", choices=[run for run in _READS if run not in EXPERIMENT_KINDS],
                    default="shift-invariance")
-    p.add_argument("--resolution", type=int, default=720, help="grid resolution for local-global")
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples for improvement")
+    for flag, (usual, doc) in _VERIFY_FLAGS.items():
+        p.add_argument("--" + flag, type=int, default=usual, help=doc)
     add("show-config", "print the materialized config")
     return parser
 
@@ -112,16 +114,19 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _refuse_unread_keys(args, config: ExperimentConfig) -> None:
-    """Refuse, naming it, the first key but kind that the run does not read
-    and that is away from its default: the run would drop it silently."""
+    """Refuse, naming it, the first key but kind, then verify flag, that the run
+    does not read and that is away from its default: it would drop it silently."""
     run = getattr(args, "check", args.subcommand)
     default = ExperimentConfig()
-    for key, row in CONFIG_SCHEMA.items():
-        value, usual = getattr(config, row.field), getattr(default, row.field)
-        if key != "kind" and key not in _READS[run] and value != usual:
+    settings = [(key, row.format, getattr(config, row.field), getattr(default, row.field))
+                for key, row in CONFIG_SCHEMA.items() if key != "kind"]
+    settings += [(flag, str, getattr(args, flag, usual), usual)
+                 for flag, (usual, _) in _VERIFY_FLAGS.items()]
+    for key, fmt, value, usual in settings:
+        if key not in _READS[run] and value != usual:
             name = f"verify --check {run}" if hasattr(args, "check") else run
-            raise ValueError(f"{name} does not read {key}: got {key}={row.format(value)}, "
-                             f"expected the default {key}={row.format(usual)}")
+            raise ValueError(f"{name} does not read {key}: got {key}={fmt(value)}, "
+                             f"expected the default {key}={fmt(usual)}")
 
 
 def emit_reproduction_bundle(
@@ -231,11 +236,11 @@ def _run_verify(args, config: ExperimentConfig) -> int:
 
 def _sizes(args, config: ExperimentConfig) -> str:
     """The sizes a run allocates by, as key=value: the config's n_s, trials
-    and horizon, then the subcommand's own size flags."""
+    and horizon, then the verify size flag its check reads."""
     sizes = {key: CONFIG_SCHEMA[key].format(getattr(config, CONFIG_SCHEMA[key].field))
              for key in ("n_s", "trials", "horizon")}
-    sizes.update((name, getattr(args, name)) for name in ("samples", "resolution")
-                 if hasattr(args, name))
+    reads = _READS[getattr(args, "check", args.subcommand)]
+    sizes.update((flag, getattr(args, flag)) for flag in _VERIFY_FLAGS if flag in reads)
     return key_value_text(sizes, " ").rstrip()
 
 

@@ -9,7 +9,7 @@ magnitude is bit-identical to per-trial trajectories, with or without noise.
 Each step's magnitudes stream into a reducer that keeps only the study's
 answer: the mean curve (hitting time), each trial's first passages (average
 convergence), or each run's curve up to its eps stop (sample paths). The
-reducer also ends the run, as soon as that answer can no longer change.
+reducer retires trials, and ends the run, as soon as their answer is fixed.
 """
 
 from __future__ import annotations
@@ -257,16 +257,17 @@ def _run_lockstep(
     config: ExperimentConfig, n_s: int, horizon: int, reduce: Callable
 ) -> tuple[np.ndarray, float]:
     """Advance all trials of one n_s in lockstep through the search kernel,
-    calling ``reduce(t, magnitudes, opt_mags)`` at t = 0 and after every step
-    until it returns True or ``horizon`` steps have run. A True at t = 0
-    leaves the batch unstepped.
+    calling ``reduce(t, magnitudes, opt_mags)`` at t = 0 and after each of up
+    to ``horizon`` steps. It returns True to stop, or a bool array of the
+    trials it is done with, which leave the batch; the run stops once all
+    have. A stop at t = 0 leaves the batch unstepped.
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
-    order. ``magnitudes`` is the batch's own row array, updated in place, so a
-    reducer that keeps it copies it. Returns the per-trial optimal magnitudes
-    and the worst relative telescoping error |Mag[T] - (Mag[0] + sum I)| /
-    Mag[T] across trials, T being the last step run.
+    order. ``magnitudes`` is one per-trial array, updated in place, so a
+    reducer that keeps it copies it; it holds a retired trial's value. Returns
+    the per-trial optimal magnitudes and the worst relative telescoping error
+    |Mag[T] - (Mag[0] + sum I)| / Mag[T], T being each trial's last step run.
     """
     shared = None
     if config.channel_policy == "fixed-across-trials":
@@ -279,20 +280,31 @@ def _run_lockstep(
     channels = [shared if shared is not None else generate_channel(n_s, rng) for rng in rngs]
     power = config.power()
     batch, noise_rngs = _start(channels, config.init_mode, power, rngs)
+    batch.theta, batch.rows = None, np.arange(config.trials)  # no reducer reads phases
+    batch.live = running = np.ones(config.trials, dtype=bool)
     opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
 
+    def stop(done) -> bool:
+        if isinstance(done, np.ndarray):
+            running[done] = False
+            batch.live, done = running[batch.rows], not running.any()
+        return bool(done)
+
     initial = batch.cur.copy()
+    last, mags = initial.copy(), initial.copy()
     inc_sum = np.zeros(config.trials)
-    if not reduce(0, batch.cur, opt_mags):
+    if not stop(reduce(0, mags, opt_mags)):
         for _, _, inc in _lockstep(
             batch, config.perturbation(), power, horizon, rngs, noise_rngs
         ):
-            inc_sum += inc
-            if reduce(batch.t, batch.cur, opt_mags):
+            rows = batch.rows if len(batch.rows) < config.trials else slice(None)
+            last[rows] = batch.cur
+            inc_sum[rows] += inc
+            np.copyto(mags, last, where=running)
+            if stop(reduce(batch.t, mags, opt_mags)):
                 break
 
-    final = batch.cur
-    dev = np.abs(final - (initial + inc_sum)) / np.maximum(final, 1e-30)
+    dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
     return opt_mags, float(dev.max())
 
 
@@ -315,7 +327,7 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
 
     def record(t, cur, opt):
         steps.append(cur.copy())
-        return eps is not None and (cur > opt - eps).all()
+        return eps is not None and cur > opt - eps
 
     opt_mags, _ = _run_lockstep(config, n_s, horizon, record)
     mags = np.array(steps)  # (steps run + 1, trials)
@@ -461,23 +473,22 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     if config.kind != "avg-convergence":
         raise ValueError(f"config kind is {config.kind!r}, expected 'avg-convergence'")
     alphas = np.array(config.alpha)[:, None]
+    top = int(np.argmax(alphas))
     per_ns, max_dev = [], 0.0
     for n_s in config.n_s_values:
         _check_fits(config.trials, n_s)
         first = np.full((len(config.alpha), config.trials), -1)
         pending = np.empty(first.shape)  # thresholds not yet reached, inf once reached
-        left = first.size
 
         def first_passage(t, cur, opt):
-            nonlocal left
             if t == 0:
                 np.multiply(alphas, opt, out=pending)
             hit = cur >= pending
             if hit.any():
                 first[hit] = t
                 pending[hit] = np.inf
-                left -= np.count_nonzero(hit)
-            return left == 0
+            # estimates never decrease, so a trial's top-alpha crossing is its last
+            return pending[top] == np.inf
 
         _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), first_passage)
         per_ns.append((n_s, first))

@@ -201,14 +201,17 @@ def sample_perturbation(
 @dataclass
 class _Batch:
     """Lockstep state of independent searches, one row per trial: the
-    accepted phases (reduced to [0, 2pi) at chunk starts), their phasors,
-    the stored magnitude estimates and the steps taken."""
+    accepted phases (reduced to [0, 2pi) at chunk starts, or None), their
+    phasors, the stored magnitude estimates and the steps taken; with
+    ``live`` set, also the caller's index of each row and which rows stay."""
 
     amps: np.ndarray
-    theta: np.ndarray
+    theta: np.ndarray | None
     w: np.ndarray
     cur: np.ndarray
     t: int = 0
+    rows: np.ndarray | None = None
+    live: np.ndarray | None = None
 
 
 def _noise(rngs, power: PowerConfig, steps: int):
@@ -245,23 +248,32 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
     the move when ``accept(current, proposed)`` holds. Without a predicate it
     keeps exactly when the proposed estimate strictly exceeds the stored one.
     Steps run up to ``max_steps``; a caller that is done earlier stops
-    iterating.
+    iterating, and one done with some rows clears their ``batch.live`` entries:
+    they leave with their streams at the next chunk start.
 
     A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
     rows (a scheduled step is its own chunk); chunking leaves the streams as
     they are. Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}.
     """
-    rows, n_s = batch.theta.shape
+    n_s = batch.w.shape[1]
     slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
-    size_cap = min(_CHUNK, max(1, _CHUNK_VALUES // (rows * (n_s + slots))))
     n_sched = 0 if spec.schedule is None else len(spec.schedule)
     while batch.t < max_steps:
+        if batch.live is not None and not batch.live.all():
+            stay = batch.live
+            rngs = [rng for rng, s in zip(rngs, stay) if s]
+            noise_rngs = noise_rngs and [rng for rng, s in zip(noise_rngs, stay) if s]
+            batch.amps, batch.w, batch.cur, batch.rows, batch.live = (
+                a[stay] for a in (batch.amps, batch.w, batch.cur, batch.rows, stay))
+            batch.theta = None if batch.theta is None else batch.theta[stay]
+        size_cap = min(_CHUNK, max(1, _CHUNK_VALUES // (len(rngs) * (n_s + slots))))
         size = 1 if batch.t < n_sched else min(size_cap, max_steps - batch.t)
         d0 = spec.delta0_at(batch.t)
         deltas = np.stack([rng.uniform(-d0, d0, (size, n_s)) for rng in rngs], axis=1)
         turns = rotations(batch.amps, deltas)
         noise = _noise(noise_rngs, power, size)
-        batch.theta = canonical_phases(batch.theta)
+        if batch.theta is not None:
+            batch.theta = canonical_phases(batch.theta)
         for i in range(size):
             proposed = batch.w * turns[i]
             pm = coherent_magnitude(proposed.sum(axis=1), power.P, power.sigma2, noise[i])
@@ -279,7 +291,8 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
                     )
             inc = np.where(keep, pm - cur, 0.0)
             np.copyto(batch.w, proposed, where=keep[:, None])
-            np.add(batch.theta, deltas[i], out=batch.theta, where=keep[:, None])
+            if batch.theta is not None:
+                np.add(batch.theta, deltas[i], out=batch.theta, where=keep[:, None])
             np.copyto(cur, pm, where=keep)
             batch.t += 1
             yield deltas[i], keep, inc

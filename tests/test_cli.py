@@ -183,10 +183,16 @@ def _no_step(*args):
         (["sample-path", "--n-s", "4", "--alpha", "0.3"], "does not read alpha: got alpha=0.3"),
         (["sample-path", "--config", "hitting-time.cfg"],
          "does not read alpha: got alpha=0.5,0.7,0.9"),
+        # verify's own flags: --samples is read by improvement, --resolution by local-global
+        (["verify", "--check", "increment", "--n-s", "4", "--samples", "5", "--resolution", "9"],
+         "does not read resolution: got resolution=9"),
+        (["verify", "--check", "shift-invariance", "--n-s", "4", "--samples", "0"],
+         "does not read samples: got samples=0"),
     ],
     ids=["verify-increment-sigma2", "verify-n_s", "sample-path-n_s", "verify-improvement",
          "verify-shift-invariance", "verify-local-global", "hitting-time-eps",
-         "avg-convergence-eps", "sample-path-alpha", "sample-path-config"],
+         "avg-convergence-eps", "sample-path-alpha", "sample-path-config",
+         "verify-increment-flags", "verify-shift-invariance-samples"],
 )
 def test_settings_a_run_cannot_honour_exit_1_naming_key(argv, key, tmp_path, monkeypatch,
                                                          capsys):

@@ -23,7 +23,7 @@ from distbeam import (
     shared_channel_seed_sequence,
     trial_seed_sequence,
 )
-from distbeam import experiments
+from distbeam import experiments, search
 from distbeam.experiments import (
     CHANNEL_POLICIES,
     CONFIG_SCHEMA,
@@ -331,6 +331,59 @@ def test_driver_stops_when_the_reducer_says_so(monkeypatch, k):
         assert np.array_equal(cur, full[:, t])
 
 
+def test_a_trial_the_reducer_is_done_with_keeps_its_magnitude():
+    cfg = small_config(trials=4)
+    full, _ = lockstep_curves(cfg, 6, 60)
+    done_at = np.array([0, 10, 25, 40])  # the step after which the reducer is done with each trial
+    seen = []
+
+    def reduce(t, cur, opt):
+        seen.append(cur.copy())
+        return t >= done_at
+
+    _run_lockstep(cfg, 6, 60, reduce)
+    # the run stops once every trial is done
+    assert len(seen) == done_at.max() + 1
+    for t, cur in enumerate(seen):
+        assert np.array_equal(cur, full[np.arange(4), np.minimum(t, done_at)])
+    # the frozen trials would have moved on had they stayed
+    assert all(full[k, done_at.max()] > full[k, done_at[k]] for k in range(3))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.001])
+def test_avg_convergence_trials_leave_the_batch_after_their_crossings(monkeypatch, sigma2):
+    # 40 trials of n_s=16 take 204-step chunks, and their 0.9 crossings spread
+    # from step 121 to past step 300, so rows leave at one or two chunk starts
+    cfg = small_config(
+        kind="avg-convergence", n_s_values=(16,), trials=40, alpha=(0.5, 0.9),
+        sigma2=sigma2, averaging_slots=2,
+    )
+    rows = []
+
+    def counting(batch, *args):
+        for step in _lockstep(batch, *args):
+            rows.append(len(step[1]))
+            yield step
+
+    monkeypatch.setattr(experiments, "_lockstep", counting)
+    point = run_avg_convergence_sweep(cfg)[-1].points[0]
+    assert point.censored == 0
+    assert all(b <= a for a, b in zip(rows, rows[1:]))
+    assert sum(rows) < cfg.trials * len(rows)
+    # a trial runs at least up to its top-alpha first passage
+    assert sum(rows) >= point.times.sum()
+
+
+@pytest.mark.parametrize("kind", ["hitting-time", "avg-convergence"])
+def test_sweep_batches_carry_no_phases(monkeypatch, kind):
+    def no_phases(theta):
+        raise AssertionError("a sweep reduced phases")
+
+    monkeypatch.setattr(search, "canonical_phases", no_phases)
+    cfg = small_config(kind=kind, n_s_values=(4, 6), trials=5, alpha=(0.5, 0.9))
+    (run_hitting_time_sweep if kind == "hitting-time" else run_avg_convergence_sweep)(cfg)
+
+
 @pytest.mark.parametrize("sigma2", [0.0, 0.001])
 def test_avg_convergence_first_passages_match_full_curves(sigma2):
     # by step 120 every n_s=4 run reaches 0.9, so the reducer stops the batch
@@ -379,8 +432,8 @@ def test_sample_paths_protocol():
 
 
 @pytest.mark.parametrize(
-    # the batch keeps stepping rows already inside the eps region: 0.5 stops
-    # all four runs early, each at its own step, 0.001 three of four, 1e-9 none
+    # a row inside the eps region leaves the batch: 0.5 stops all four runs
+    # early, each at its own step, 0.001 three of four, 1e-9 none
     "eps,expected",
     [(None, None), (0.5, [True] * 4), (0.001, [True, False, True, True]), (1e-9, [False] * 4)],
 )
