@@ -52,14 +52,12 @@ from .oracle import (
 )
 from .search import (
     DecisionMapViolation,
-    FeedbackBit,
     PerturbationSpec,
     SearchState,
     StopRule,
     Trajectory,
     init_state,
     one_bit_step,
-    plug_decision_map,
     run_trajectory,
     sample_perturbation,
 )

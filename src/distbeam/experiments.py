@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError("alpha list must be non-empty")
         if any(not 0.0 < a <= 1.0 for a in alphas):
             raise ValueError("alpha must be in (0, 1]")
+        if len(set(alphas)) < len(alphas):
+            raise ValueError("alpha values must not repeat")
         object.__setattr__(self, "alpha", alphas)
         if self.eps is not None and not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
@@ -294,7 +296,7 @@ def _run_lockstep(
     last, mags = initial.copy(), initial.copy()
     inc_sum = np.zeros(config.trials)
     if not stop(reduce(0, mags, opt_mags)):
-        for _, _, inc in _lockstep(
+        for _, inc in _lockstep(
             batch, config.perturbation(), power, horizon, rngs, noise_rngs
         ):
             rows = batch.rows if len(batch.rows) < config.trials else slice(None)

@@ -12,7 +12,6 @@ row per trial) all run through it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,15 +36,8 @@ _CHUNK = 256  # most steps whose perturbations one generator call draws
 _CHUNK_VALUES = 1 << 17  # most random values one chunk draws across all rows
 
 
-class FeedbackBit(enum.Enum):
-    """Receiver broadcast: keep the perturbed phases or fall back."""
-
-    KEEP = "keep"
-    DISCARD = "discard"
-
-
 class DecisionMapViolation(RuntimeError):
-    """A plugged decision map accepted a magnitude-decreasing move."""
+    """A custom decision map accepted a magnitude-decreasing move."""
 
 
 @dataclass(frozen=True)
@@ -53,27 +45,14 @@ class PerturbationSpec:
     """Sampling measure for phase perturbations.
 
     Each component is drawn i.i.d. uniform on [-delta0, delta0] (the
-    uniform hypercube). An optional per-step ``schedule`` overrides delta0 for
-    the first ``len(schedule)`` steps (time-varying measure); later steps fall
-    back to ``delta0``.
+    uniform hypercube), the same measure at every step.
     """
 
     delta0: float
-    schedule: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0 < self.delta0 <= math.pi:
             raise ValueError("delta0 must be in (0, pi]")
-        if self.schedule is not None:
-            sched = tuple(float(d) for d in self.schedule)
-            if any(not 0 < d <= math.pi for d in sched):
-                raise ValueError("schedule entries must be in (0, pi]")
-            object.__setattr__(self, "schedule", sched)
-
-    def delta0_at(self, step_index: int) -> float:
-        if self.schedule is not None and step_index < len(self.schedule):
-            return self.schedule[step_index]
-        return self.delta0
 
 
 @dataclass(frozen=True)
@@ -140,7 +119,6 @@ class Trajectory:
     mags: np.ndarray
     increments: np.ndarray
     converged: bool | None
-    proposed_thetas: np.ndarray | None = None
     thetas: np.ndarray | None = None
 
     @property
@@ -193,9 +171,9 @@ def init_state(
 def sample_perturbation(
     spec: PerturbationSpec, n_s: int, step_index: int, rng: SeedLike = None
 ) -> np.ndarray:
-    """One perturbation vector: n_s i.i.d. uniform draws on [-delta0(t), delta0(t)]."""
-    d0 = spec.delta0_at(step_index)
-    return as_generator(rng).uniform(-d0, d0, n_s)
+    """One perturbation vector: n_s i.i.d. uniform draws on [-delta0, delta0].
+    The measure is the same at every step, whatever ``step_index``."""
+    return as_generator(rng).uniform(-spec.delta0, spec.delta0, n_s)
 
 
 @dataclass
@@ -241,7 +219,7 @@ def _start(channels, init_mode, power: PowerConfig, rngs):
 
 def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, accept=None):
     """Advance ``batch`` in place by propose -> measure -> accept. Each step
-    yields its perturbations, keep mask and increments (0 on discard).
+    yields its keep mask and increments (0 on discard).
 
     Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]``,
     measures the proposal with slot noise from ``noise_rngs[k]``, and keeps
@@ -252,12 +230,12 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
     they leave with their streams at the next chunk start.
 
     A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
-    rows (a scheduled step is its own chunk); chunking leaves the streams as
-    they are. Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}.
+    rows; chunking leaves the streams as they are. Proposed phasors are the
+    stored ones times e^{j(delta_i - delta_r)}.
     """
     n_s = batch.w.shape[1]
     slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
-    n_sched = 0 if spec.schedule is None else len(spec.schedule)
+    d0 = spec.delta0
     while batch.t < max_steps:
         if batch.live is not None and not batch.live.all():
             stay = batch.live
@@ -266,9 +244,8 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
             batch.amps, batch.w, batch.cur, batch.rows, batch.live = (
                 a[stay] for a in (batch.amps, batch.w, batch.cur, batch.rows, stay))
             batch.theta = None if batch.theta is None else batch.theta[stay]
-        size_cap = min(_CHUNK, max(1, _CHUNK_VALUES // (len(rngs) * (n_s + slots))))
-        size = 1 if batch.t < n_sched else min(size_cap, max_steps - batch.t)
-        d0 = spec.delta0_at(batch.t)
+        size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(rngs) * (n_s + slots))),
+                   max_steps - batch.t)
         deltas = np.stack([rng.uniform(-d0, d0, (size, n_s)) for rng in rngs], axis=1)
         turns = rotations(batch.amps, deltas)
         noise = _noise(noise_rngs, power, size)
@@ -295,22 +272,7 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
                 np.add(batch.theta, deltas[i], out=batch.theta, where=keep[:, None])
             np.copyto(cur, pm, where=keep)
             batch.t += 1
-            yield deltas[i], keep, inc
-
-
-def _one_step(state, channel, spec, power, rng, accept):
-    """One kernel step of a single search; ``rng`` draws both the perturbation
-    and then the slot noise."""
-    rng = as_generator(rng)
-    amps, theta = channel.a[None], state.theta[None].copy()
-    batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
-                   state.step_index)
-    _, keep, inc = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng], accept))
-    if keep[0]:
-        new_state = SearchState(canonical_phases(batch.theta[0]), float(batch.cur[0]), batch.t)
-        return new_state, FeedbackBit.KEEP, float(inc[0])
-    new_state = SearchState(state.theta, state.current_mag, batch.t)
-    return new_state, FeedbackBit.DISCARD, 0.0
+            yield keep, inc
 
 
 def one_bit_step(
@@ -319,32 +281,24 @@ def one_bit_step(
     spec: PerturbationSpec,
     power: PowerConfig,
     rng: SeedLike = None,
-) -> tuple[SearchState, FeedbackBit, float]:
-    """One slot of the one-bit scheme.
+) -> tuple[SearchState, bool, float]:
+    """One slot of the one-bit scheme, run as one kernel step on a single row.
 
     Perturb, measure, and keep exactly when the proposed magnitude strictly
     exceeds the stored magnitude of the last accepted point; ties and losses
-    discard and leave the phases untouched. Returns the new state, the
-    feedback bit, and the magnitude increment (0 on discard).
+    discard and leave the phases untouched. ``rng`` draws the perturbation
+    and then the slot noise. Returns the new state, whether the move was kept,
+    and the magnitude increment (0 on discard).
     """
-    return _one_step(state, channel, spec, power, rng, None)
-
-
-def plug_decision_map(
-    accept: Callable[[float, float], bool],
-) -> Callable[..., tuple[SearchState, FeedbackBit, float]]:
-    """Build a step function from an accept predicate on (current, proposed).
-
-    The framework requires accepted moves never to decrease the objective; in
-    noiseless mode a decreasing accept raises :class:`DecisionMapViolation`.
-    The strictly-greater predicate reproduces :func:`one_bit_step` exactly.
-    """
-
-    def step(state, channel, spec, power, rng=None):
-        return _one_step(state, channel, spec, power, rng, accept)
-
-    step.accept = accept
-    return step
+    rng = as_generator(rng)
+    amps, theta = channel.a[None], state.theta[None].copy()
+    batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
+                   state.step_index)
+    keep, inc = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng]))
+    if keep[0]:
+        new_state = SearchState(canonical_phases(batch.theta[0]), float(batch.cur[0]), batch.t)
+        return new_state, True, float(inc[0])
+    return SearchState(state.theta, state.current_mag, batch.t), False, 0.0
 
 
 def run_trajectory(
@@ -354,14 +308,17 @@ def run_trajectory(
     init_mode,
     stop: StopRule,
     seed: SeedLike = None,
-    step_fn: Callable[..., tuple[SearchState, FeedbackBit, float]] | None = None,
+    accept: Callable[[float, float], bool] | None = None,
     record_thetas: bool = True,
 ) -> Trajectory:
     """Run the search until the stop rule fires or the step budget runs out.
 
-    This is the lockstep kernel on a single row. ``step_fn`` picks the
-    decision map: :func:`one_bit_step` (the default) or a step built by
-    :func:`plug_decision_map`. Measurement noise comes from a child stream
+    This is the lockstep kernel on a single row. ``accept(current, proposed)``
+    is the decision map; without one a move is kept exactly when the proposed
+    magnitude strictly exceeds the stored one, as in :func:`one_bit_step`.
+    The framework requires accepted moves never to decrease the objective, so
+    in noiseless mode a predicate that accepts a decrease raises
+    :class:`DecisionMapViolation`. Measurement noise comes from a child stream
     spawned from the seed, perturbations from the seed's own stream.
 
     The threshold (if any) is also checked at t=0, so an initial point already
@@ -369,18 +326,15 @@ def run_trajectory(
     convergence is reported via ``converged=False``, not an exception.
     Identical inputs and seed give a bit-identical trajectory.
     """
-    accept = getattr(step_fn, "accept", None)
-    if step_fn not in (None, one_bit_step) and accept is None:
-        raise TypeError("step_fn must be one_bit_step or built by plug_decision_map")
     rng = as_generator(seed)
     batch, noise_rngs = _start([channel], init_mode, power, [rng])
     initial_theta = batch.theta[0].copy()
     initial_mag = float(batch.cur[0])
     opt = optimal_magnitude(channel, power.P)
 
-    bits, mags, incs, props, thetas = [], [], [], [], []
+    bits, mags, incs, thetas = [], [], [], []
     if not stop.met(initial_mag, opt):
-        for delta, keep, inc in _lockstep(
+        for keep, inc in _lockstep(
             batch, spec, power, stop.max_steps, [rng], noise_rngs, accept
         ):
             bits.append(keep[0])
@@ -388,7 +342,6 @@ def run_trajectory(
             incs.append(inc[0])
             if record_thetas:
                 thetas.append(canonical_phases(batch.theta[0]))
-                props.append(thetas[-1] if keep[0] else canonical_phases(batch.theta[0] + delta[0]))
             if stop.met(float(batch.cur[0]), opt):
                 break
 
@@ -405,9 +358,6 @@ def run_trajectory(
         mags=np.asarray(mags, dtype=float),
         increments=np.asarray(incs, dtype=float),
         converged=stop.met(float(batch.cur[0]), opt),
-        proposed_thetas=np.asarray(props, dtype=float).reshape(n, channel.n_s)
-        if record_thetas
-        else None,
         thetas=np.asarray(thetas, dtype=float).reshape(n, channel.n_s)
         if record_thetas
         else None,

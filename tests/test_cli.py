@@ -315,7 +315,8 @@ _INVALID_VALUES = {
     "kind": _not_in(EXPERIMENT_KINDS),
     "n_s": _garbage | _non_positive | st.integers(1, 100).map(lambda n: f"{n},{n}"),
     "trials": _garbage | _non_positive,
-    "alpha": _garbage | _floats_outside(lambda a: 0 < a <= 1),
+    "alpha": _garbage | _floats_outside(lambda a: 0 < a <= 1)
+    | st.floats(0.0, 1.0, exclude_min=True).map(lambda a: f"{a!r},{a!r}"),
     "eps": _garbage | _floats_outside(lambda e: 0 < e < math.inf),
     "delta0": _garbage | _floats_outside(lambda d: 0 < d <= math.pi),
     "P": _garbage | _floats_outside(lambda p: 0 < p < math.inf),

@@ -98,7 +98,8 @@ _KEY_VALUES = {
     ),
     "trials": st.integers(1, 10**9),
     "alpha": st.lists(
-        st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=4
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=4,
+        unique=True,
     ).map(tuple),
     "eps": st.none() | _positive_finite,
     "delta0": st.floats(min_value=0.0, max_value=math.pi, exclude_min=True),
@@ -150,6 +151,7 @@ def test_config_accepts_scalar_alpha():
         dict(trials=0),
         dict(alpha=(0.0,)),
         dict(alpha=(1.1,)),
+        dict(alpha=(0.5, 0.5)),
         dict(eps=-1.0),
         dict(eps=math.inf),
         dict(eps=math.nan),
@@ -362,7 +364,7 @@ def test_avg_convergence_trials_leave_the_batch_after_their_crossings(monkeypatc
 
     def counting(batch, *args):
         for step in _lockstep(batch, *args):
-            rows.append(len(step[1]))
+            rows.append(len(step[0]))
             yield step
 
     monkeypatch.setattr(experiments, "_lockstep", counting)

@@ -8,7 +8,6 @@ from distbeam import (
     TWO_PI,
     ChannelRealization,
     DecisionMapViolation,
-    FeedbackBit,
     PerturbationSpec,
     PowerConfig,
     StopRule,
@@ -18,7 +17,6 @@ from distbeam import (
     magnitude,
     one_bit_step,
     optimal_magnitude,
-    plug_decision_map,
     run_trajectory,
     sample_perturbation,
 )
@@ -81,23 +79,9 @@ def test_perturbation_mean_is_zero():
     assert abs(draws.mean()) < 3 * se
 
 
-def test_perturbation_schedule():
-    spec = PerturbationSpec(delta0=0.1, schedule=(0.5, 0.25))
-    assert spec.delta0_at(0) == 0.5
-    assert spec.delta0_at(1) == 0.25
-    assert spec.delta0_at(2) == 0.1
-    rng = np.random.default_rng(0)
-    big = sample_perturbation(spec, 2000, 0, rng)
-    late = sample_perturbation(spec, 2000, 5, rng)
-    assert np.abs(big).max() > 0.25
-    assert np.abs(late).max() <= 0.1
-
-
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(delta0=0.0)
-    with pytest.raises(ValueError):
-        PerturbationSpec(delta0=0.1, schedule=(0.1, -0.1))
     for bad in (math.pi + 1e-9, math.inf, math.nan):
         with pytest.raises(ValueError, match="delta0"):
             PerturbationSpec(delta0=bad)
@@ -108,13 +92,14 @@ def test_step_keeps_only_strict_improvements():
     # near-antipodal two-element channel: closed form 2|cos(gap/2)|
     ch, theta = two_element(math.pi - 0.01)
     spec = PerturbationSpec(delta0=math.pi / 30)
-    kept = 0
+    n_kept = 0
     for seed in range(20):
         state = init_state(ch, theta, POWER)
-        new, bit, inc = one_bit_step(state, ch, spec, POWER, np.random.default_rng(seed))
+        new, kept, inc = one_bit_step(state, ch, spec, POWER, np.random.default_rng(seed))
         assert new.step_index == 1
-        if bit is FeedbackBit.KEEP:
-            kept += 1
+        assert isinstance(kept, bool)
+        if kept:
+            n_kept += 1
             assert inc > 0
             assert new.current_mag > state.current_mag
             gap = float(np.diff(new.theta)[0])
@@ -123,7 +108,7 @@ def test_step_keeps_only_strict_improvements():
             assert inc == 0.0
             assert new.theta is state.theta
             assert new.current_mag == state.current_mag
-    assert 0 < kept < 20
+    assert 0 < n_kept < 20
 
 
 def test_tie_breaks_to_discard():
@@ -132,10 +117,33 @@ def test_tie_breaks_to_discard():
     spec = PerturbationSpec(delta0=0.3)
     state = init_state(ch, "zero", POWER)
     for seed in range(5):
-        new, bit, inc = one_bit_step(state, ch, spec, POWER, np.random.default_rng(seed))
-        assert bit is FeedbackBit.DISCARD
+        new, kept, inc = one_bit_step(state, ch, spec, POWER, np.random.default_rng(seed))
+        assert kept is False
         assert inc == 0.0
         assert new.theta is state.theta
+
+
+@pytest.mark.parametrize("n_s", [2, 6, 10, 30])
+def test_noiseless_hand_stepping_matches_run_trajectory(n_s):
+    # init_state plus one_bit_step on one generator walk the same stream as
+    # run_trajectory on that seed. With noise on they differ: run_trajectory
+    # draws noise from a child stream, a lone step from its own generator.
+    ch = generate_channel(n_s, np.random.default_rng(n_s))
+    spec, steps = PerturbationSpec(delta0=math.pi / 30), 300
+    tol = 1e-12 * optimal_magnitude(ch, 1.0)
+    for seed in range(10):
+        traj = run_trajectory(ch, spec, POWER, "uniform", StopRule.steps(steps), seed=seed,
+                              record_thetas=False)
+        rng = np.random.default_rng(seed)
+        state = init_state(ch, "uniform", POWER, rng)
+        assert np.array_equal(state.theta, traj.initial_theta)
+        bits, mags = [], []
+        for _ in range(steps):
+            state, kept, _ = one_bit_step(state, ch, spec, POWER, rng)
+            bits.append(kept)
+            mags.append(state.current_mag)
+        assert np.array_equal(np.array(bits), traj.bits)
+        assert np.max(np.abs(np.array(mags) - traj.mags)) <= tol
 
 
 def test_trajectory_monotone_and_telescoping():
@@ -160,7 +168,6 @@ def test_trajectory_is_deterministic():
     assert np.array_equal(a.mags, b.mags)
     assert np.array_equal(a.bits, b.bits)
     assert np.array_equal(a.thetas, b.thetas)
-    assert np.array_equal(a.proposed_thetas, b.proposed_thetas)
 
 
 def test_discard_leaves_theta_bit_identical():
@@ -174,7 +181,6 @@ def test_discard_leaves_theta_bit_identical():
         if not traj.bits[t]:
             assert np.array_equal(thetas[t + 1], thetas[t])
         else:
-            assert np.array_equal(thetas[t + 1], traj.proposed_thetas[t])
             assert not np.array_equal(thetas[t + 1], thetas[t])
 
 
@@ -245,9 +251,9 @@ def test_stop_rule_validation():
 def test_strict_greater_predicate_reproduces_one_bit_step():
     ch = generate_channel(6, np.random.default_rng(8))
     spec = PerturbationSpec(delta0=math.pi / 30)
-    custom = plug_decision_map(lambda cur, prop: prop > cur)
     via_custom = run_trajectory(
-        ch, spec, POWER, "zero", StopRule.steps(250), seed=17, step_fn=custom,
+        ch, spec, POWER, "zero", StopRule.steps(250), seed=17,
+        accept=lambda cur, prop: prop > cur,
     )
     via_default = run_trajectory(
         ch, spec, POWER, "zero", StopRule.steps(250), seed=17,
@@ -255,16 +261,14 @@ def test_strict_greater_predicate_reproduces_one_bit_step():
     assert np.array_equal(via_custom.mags, via_default.mags)
     assert np.array_equal(via_custom.bits, via_default.bits)
     assert not via_default.bits.all()  # discards happen, so proposals matter
-    assert np.array_equal(via_custom.proposed_thetas, via_default.proposed_thetas)
     assert np.array_equal(via_custom.thetas, via_default.thetas)
 
 
 def test_greater_or_equal_predicate_is_monotone_safe():
     ch = ChannelRealization(a=[2.0], phi=[1.0])  # all proposals tie
-    step = plug_decision_map(lambda cur, prop: prop >= cur)
     traj = run_trajectory(
         ch, PerturbationSpec(delta0=0.2), POWER, "zero", StopRule.steps(50),
-        seed=0, step_fn=step,
+        seed=0, accept=lambda cur, prop: prop >= cur,
     )
     assert np.all(traj.bits)
     assert np.all(np.diff(traj.magnitudes()) == 0)
@@ -279,9 +283,8 @@ def test_one_nonzero_transmitter_ties_exactly(amps, delta0):
     spec, stop = PerturbationSpec(delta0=delta0), StopRule.steps(2000)
     strict = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3, record_thetas=False)
     assert not strict.bits.any()
-    step = plug_decision_map(lambda cur, prop: prop >= cur)
-    ge = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3, step_fn=step,
-                        record_thetas=False)
+    ge = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3,
+                        accept=lambda cur, prop: prop >= cur, record_thetas=False)
     assert ge.bits.all()
     assert np.all(ge.magnitudes() == ge.initial_mag)
 
@@ -297,18 +300,16 @@ def test_kernel_magnitudes_match_direct_formula(n_s, delta0):
     tol = 1e-12 * optimal_magnitude(ch, 1.0)
     direct = np.array([magnitude(ch, theta, 1.0) for theta in traj.thetas])
     assert np.max(np.abs(traj.mags - direct)) <= tol
-    for thetas in (traj.thetas, traj.proposed_thetas):
-        assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
+    assert np.all((traj.thetas >= 0.0) & (traj.thetas < TWO_PI))
     assert np.array_equal(traj.final_theta, traj.thetas[-1])
 
 
 def test_always_accept_violates_contract():
     ch = generate_channel(4, np.random.default_rng(5))
-    step = plug_decision_map(lambda cur, prop: True)
     with pytest.raises(DecisionMapViolation, match="accepted a decrease"):
         run_trajectory(
             ch, PerturbationSpec(delta0=math.pi / 8), POWER, "uniform",
-            StopRule.steps(200), seed=1, step_fn=step,
+            StopRule.steps(200), seed=1, accept=lambda cur, prop: True,
         )
 
 
