@@ -104,8 +104,10 @@ def _build_parser() -> _Parser:
 def _resolve_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the subcommand's kind and every
     given flag applied in one validating pass."""
+    # argparse (before 3.12) drops a flag's lone "--" value and stores [];
+    # put the "--" back so the config names the key when it refuses it
     items = {
-        key: value
+        key: "--" if value == [] else value
         for key in CONFIG_SCHEMA
         if (value := getattr(args, f"cfg_{key}", None)) is not None
     }

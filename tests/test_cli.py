@@ -353,6 +353,13 @@ def test_any_invalid_value_exits_1_naming_key(key_value):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("key", ["init_mode", "n_s", "master_seed"])
+def test_lone_double_dash_value_exits_1_naming_key(capsys, key):
+    assert parse_and_dispatch(["show-config", f"--{key.replace('_', '-')}=--"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", err) and "'--'" in err
+
+
 def test_noisy_summary_writes_plain_floats(tmp_path):
     out = tmp_path / "noisy"
     rc = parse_and_dispatch(
