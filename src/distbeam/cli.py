@@ -47,6 +47,10 @@ from .oracle import (
 )
 from .search import StopRule, run_trajectory
 
+# peak-RSS bytes per step of verify --check increment's trajectory, measured
+# with getrusage (about 106): its per-step lists of NumPy scalars, then arrays
+_TRAJECTORY_STEP_BYTES = 112
+
 _ORACLE_KEYS = ("n_s", "master_seed", "P")
 _VERIFY_FLAGS = {"resolution": (720, "grid resolution for local-global"),
                  "samples": (100_000, "Monte Carlo samples for improvement")}
@@ -216,8 +220,7 @@ def _run_verify(args, config: ExperimentConfig) -> int:
             samples=args.samples, rng=rng,
         )
     else:  # increment
-        # the trajectory keeps a bit, a magnitude and an increment per step
-        _check_fits(1, n_s, 8 * 3 * config.horizon_for(n_s))
+        _check_fits(1, n_s, _TRAJECTORY_STEP_BYTES * config.horizon_for(n_s))
         traj = run_trajectory(
             channel,
             config.perturbation(),

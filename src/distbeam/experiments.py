@@ -7,9 +7,10 @@ trials of one n_s advance in lockstep through the search kernel, the same one
 :func:`distbeam.search.run_trajectory` runs on a single row, so every
 magnitude is bit-identical to per-trial trajectories, with or without noise.
 Each step's magnitudes stream into a reducer that keeps only the study's
-answer: the mean curve (hitting time), each trial's first passages (average
-convergence), or each run's curve up to its eps stop (sample paths). The
-reducer retires trials, and ends the run, as soon as their answer is fixed.
+answer: each alpha's first crossing by the mean (hitting time), each trial's
+first passages (average convergence), or each run's curve up to its eps stop
+(sample paths). The reducer retires trials, and ends the run, as soon as
+their answer is fixed.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle: {text!r}") from None
 
 
+def _whole(name: str, value, low: int) -> None:
+    """Refuse ``value``, naming ``name``, unless it is an integer >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, reproducible description of one experiment.
@@ -80,16 +87,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        ns = tuple(int(n) for n in np.atleast_1d(np.asarray(self.n_s_values)))
+        ns = tuple(np.atleast_1d(np.asarray(self.n_s_values)).tolist())
         if not ns:
             raise ValueError("n_s list must be non-empty")
-        if any(n < 1 for n in ns):
-            raise ValueError("n_s values must be positive")
+        for n in ns:
+            _whole("n_s", n, 1)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_s values must be strictly increasing")
         object.__setattr__(self, "n_s_values", ns)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _whole("trials", self.trials, 1)
         alphas = self.alpha
         if isinstance(alphas, (int, float)):
             alphas = (float(alphas),)
@@ -103,7 +109,8 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha", alphas)
         if self.eps is not None and not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        self.power()  # checks P, sigma2 and averaging_slots
+        _whole("averaging_slots", self.averaging_slots, 1)
+        self.power()  # checks P and sigma2
         self.perturbation()  # checks delta0
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
@@ -111,10 +118,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"channel_policy must be one of {CHANNEL_POLICIES}, got {self.channel_policy!r}"
             )
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        if self.horizon is not None:
+            _whole("horizon", self.horizon, 1)
+        _whole("master_seed", self.master_seed, 0)
 
     def horizon_for(self, n_s: int) -> int:
         return self.horizon if self.horizon is not None else 200 * n_s
@@ -361,16 +367,13 @@ def linear_fit(x, y) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class HittingTimePoint:
-    """Convergence-in-mean summary for one n_s. ``mean_curve`` runs from
-    t = 0 to the largest alpha's crossing, or to the horizon when that
-    crossing is unresolved."""
+    """Convergence-in-mean summary for one n_s."""
 
     n_s: int
     hitting_time: int | None
     trials: int
     threshold: float
     mean_opt_mag: float
-    mean_curve: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -393,59 +396,41 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
                          "(zero beamforming phases); set init_mode=origin")
     per_ns, max_dev = [], 0.0
     for n_s in config.n_s_values:
-        horizon = config.horizon_for(n_s)
-        _check_fits(config.trials, n_s, 8 * (horizon + 1))
-        sums = np.empty(horizon + 1)
-        top = last = 0
+        _check_fits(config.trials, n_s)
+        crossed = {}  # alpha -> the first step the mean reaches its threshold
+        pending = []  # (threshold, alpha) not yet reached, the lowest last
 
-        def add(t, cur, opt):
-            nonlocal top, last
-            if t == 0:  # the top alpha's threshold, as the crossing search below computes it
-                top = max(config.alpha) * float(opt.mean())
-            # in trial order, as an axis-0 mean of curves sums; cur.sum() rounds differently
-            sums[t] = np.add.accumulate(cur)[-1]
-            last = t
-            # every lower alpha has crossed by the top alpha's first crossing
-            return sums[t] / config.trials >= top
+        def cross(t, cur, opt):
+            if t == 0:
+                mean_opt = float(opt.mean())
+                pending.extend(sorted(((a * mean_opt, a) for a in config.alpha), reverse=True))
+            # summed in trial order, as the recorded CSVs were; cur.sum() rounds differently
+            mean = np.add.accumulate(cur)[-1] / config.trials
+            # stored estimates never decrease, so neither does the mean: only
+            # the lowest pending threshold can be newly reached
+            while pending and mean >= pending[-1][0]:
+                crossed[pending.pop()[1]] = t
+            return not pending
 
-        opt_mags, dev = _run_lockstep(config, n_s, horizon, add)
-        per_ns.append((n_s, sums[: last + 1] / config.trials, float(opt_mags.mean())))
+        opt_mags, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), cross)
+        per_ns.append((n_s, crossed, float(opt_mags.mean())))
         max_dev = max(max_dev, dev)
 
     results = []
     for alpha in config.alpha:
-        points = []
-        for n_s, mean_curve, mean_opt in per_ns:
-            threshold = alpha * mean_opt
-            hits = np.nonzero(mean_curve >= threshold)[0]
-            hitting = int(hits[0]) if hits.size else None
-            points.append(
-                HittingTimePoint(
-                    n_s=n_s,
-                    hitting_time=hitting,
-                    trials=config.trials,
-                    threshold=threshold,
-                    mean_opt_mag=mean_opt,
-                    mean_curve=mean_curve,
-                )
+        points = [
+            HittingTimePoint(
+                n_s=n_s,
+                hitting_time=crossed.get(alpha),
+                trials=config.trials,
+                threshold=alpha * mean_opt,
+                mean_opt_mag=mean_opt,
             )
+            for n_s, crossed, mean_opt in per_ns
+        ]
         resolved = [(p.n_s, p.hitting_time) for p in points if p.hitting_time is not None]
-        if len(resolved) >= 2:
-            slope, intercept, r2 = linear_fit(
-                [n for n, _ in resolved], [t for _, t in resolved]
-            )
-        else:
-            slope = intercept = r2 = float("nan")
-        results.append(
-            HittingTimeResult(
-                alpha=alpha,
-                points=tuple(points),
-                slope=slope,
-                intercept=intercept,
-                r_squared=r2,
-                increment_identity_max_dev=max_dev,
-            )
-        )
+        fit = linear_fit(*zip(*resolved)) if len(resolved) >= 2 else (math.nan,) * 3
+        results.append(HittingTimeResult(alpha, tuple(points), *fit, max_dev))
     return results
 
 
@@ -536,7 +521,7 @@ def sample_paths_csv(curves: list[np.ndarray]) -> str:
 def hitting_time_csv(results: list[HittingTimeResult]) -> str:
     """CSV with columns n_s,alpha,hitting_time,slope,intercept,r2.
 
-    An unresolved hitting time (mean curve never crossed within the horizon)
+    An unresolved hitting time (the mean never crossed within the horizon)
     renders as an empty hitting_time field; the fit covers resolved rows.
     """
     lines = ["n_s,alpha,hitting_time,slope,intercept,r2"]

@@ -108,10 +108,7 @@ class Trajectory:
     the threshold fired within the budget.
     """
 
-    channel: ChannelRealization
-    spec: PerturbationSpec
     power: PowerConfig
-    stop: StopRule
     initial_theta: np.ndarray
     initial_mag: float
     final_theta: np.ndarray
@@ -347,10 +344,7 @@ def run_trajectory(
 
     n = len(bits)
     return Trajectory(
-        channel=channel,
-        spec=spec,
         power=power,
-        stop=stop,
         initial_theta=initial_theta,
         initial_mag=initial_mag,
         final_theta=canonical_phases(batch.theta[0]),

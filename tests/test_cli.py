@@ -115,8 +115,9 @@ def test_negative_seed_exits_1_naming_key(tmp_path, capsys):
 
 
 def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
+    # a sample-path budget run holds every step; no sweep holds per-step state
     rc = parse_and_dispatch(
-        ["hitting-time", "--n-s", "4", "--trials", "2", "--horizon", "100000000000",
+        ["sample-path", "--n-s", "4", "--trials", "2", "--horizon", "100000000000",
          "--out", str(tmp_path / "x")]
     )
     err = capsys.readouterr().err
@@ -135,9 +136,9 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
           "--horizon", "1"], "n_s=1000000000000000"),
         (["hitting-time", "--n-s", "100000000000000000000", "--trials", "1",
           "--horizon", "1"], "n_s=100000000000000000000"),
-        (["hitting-time", "--n-s", "4", "--trials", "1",
+        (["sample-path", "--n-s", "4", "--trials", "2",
           "--horizon", "100000000000000000000"], "horizon=100000000000000000000"),
-        (["hitting-time", "--n-s", "4", "--trials", "2",
+        (["sample-path", "--n-s", "4", "--trials", "2",
           "--horizon", "4611686018427387904"], "horizon=4611686018427387904"),
         (["hitting-time", "--n-s", "4", "--trials", "1000000000000000",
           "--horizon", "1"], "trials=1000000000000000"),
@@ -227,6 +228,21 @@ def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monk
     assert not (tmp_path / "x").exists()
 
 
+def test_verify_increment_counts_its_trajectory_step_objects(tmp_path, monkeypatch, capsys):
+    # three floats a step take three quarters of physical memory; the per-step
+    # NumPy scalars the trajectory's lists hold do not fit
+    horizon = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 32
+    monkeypatch.setattr(cli, "run_trajectory", _no_step)
+    rc = parse_and_dispatch(
+        ["verify", "--check", "increment", "--n-s", "10", "--horizon", str(horizon),
+         "--out", str(tmp_path / "x")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"horizon={horizon}" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "flags,seed",
     [
@@ -260,13 +276,15 @@ def test_eps_stopped_sample_paths_are_not_refused_for_their_budget(tmp_path):
 
 
 def test_sweeps_hold_no_horizon_sized_state(tmp_path):
-    # both runs cross 0.9 of their optimum by step 47, so the batch stops
-    # after its first chunk whatever the horizon
-    argv = ["avg-convergence", "--n-s", "4", "--trials", "2", "--seed", "2", "--out"]
-    assert parse_and_dispatch(argv + [str(tmp_path / "auto")]) == 0
-    assert parse_and_dispatch(argv + [str(tmp_path / "huge"), "--horizon", "1000000000000"]) == 0
-    csv = "avg_convergence.csv"
-    assert read(tmp_path / "huge" / csv) == read(tmp_path / "auto" / csv)
+    # both runs, and so their mean, cross 0.9 of the optimum by step 47, so
+    # the batch stops after its first chunk whatever the horizon
+    for kind in ("hitting-time", "avg-convergence"):
+        argv = [kind, "--n-s", "4", "--trials", "2", "--seed", "2", "--out"]
+        out = tmp_path / kind
+        assert parse_and_dispatch(argv + [str(out / "auto")]) == 0
+        assert parse_and_dispatch(argv + [str(out / "huge"), "--horizon", "1000000000000"]) == 0
+        csv = kind.replace("-", "_") + ".csv"
+        assert read(out / "huge" / csv) == read(out / "auto" / csv)
 
 
 def test_out_of_memory_before_the_config_resolves_exits_1(monkeypatch, capsys):

@@ -201,10 +201,7 @@ def test_increment_check_passes_on_real_trajectory():
 def test_increment_check_flags_decreasing_step():
     good = _noiseless_trajectory(seed=1, steps=10)
     bad = Trajectory(
-        channel=good.channel,
-        spec=good.spec,
         power=good.power,
-        stop=good.stop,
         initial_theta=good.initial_theta,
         initial_mag=1.0,
         final_theta=good.final_theta,
