@@ -72,6 +72,12 @@ class ChannelRealization:
         return self.a.shape[0]
 
 
+def _whole(name: str, value, low: int) -> None:
+    """Refuse ``value``, naming ``name``, unless it is an integer >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PowerConfig:
     """Transmit power, receiver noise variance, and the number of slots
@@ -86,8 +92,7 @@ class PowerConfig:
             raise ValueError("P must be positive and finite")
         if not 0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be nonnegative and finite")
-        if self.averaging_slots < 1:
-            raise ValueError("averaging_slots must be >= 1")
+        _whole("averaging_slots", self.averaging_slots, 1)
 
 
 def rotations(a, x) -> np.ndarray:
@@ -109,28 +114,26 @@ def phasors(a, theta) -> np.ndarray:
     return out
 
 
-def coherent_magnitude(total, P: float, sigma2: float = 0.0, noise=None) -> np.ndarray:
+def coherent_magnitude(total, P: float, noise=None) -> np.ndarray:
     """The one formula behind every magnitude, from the sums ``total`` of
     :func:`phasors` that :func:`received_magnitude` and the search kernel form.
 
-    Noiseless: sqrt(P) * |total|. With ``noise`` (standard normals of shape
-    (..., 2, k): real parts, then imaginary parts), the mean over k slots of
-    |sqrt(P) total + w| with w of variance sigma2.
+    Noiseless: sqrt(P) * |total|. With ``noise`` (slot noise w of shape
+    (..., 2, k): real parts, then imaginary parts, each of variance sigma2/2),
+    the mean over k slots of |sqrt(P) total + w|.
     """
     sqrt_p = math.sqrt(P)
     if noise is None:
         return sqrt_p * np.abs(total)
-    scale = math.sqrt(sigma2 / 2.0)
-    slots = np.hypot(
-        sqrt_p * total.real[..., None] + scale * noise[..., 0, :],
-        sqrt_p * total.imag[..., None] + scale * noise[..., 1, :],
-    )
-    return slots.mean(axis=-1)
+    # (re, im) of sqrt(P) total viewed as (..., 2, 1) floats; a 0-d total views only once 1-d
+    signal = np.reshape(sqrt_p * total, np.shape(total) + (1,)).view(float)[..., None]
+    slots = signal + noise
+    return np.add.reduce(np.hypot(slots[..., 0, :], slots[..., 1, :]), axis=-1) / noise.shape[-1]
 
 
-def received_magnitude(a, theta, P: float, sigma2: float = 0.0, noise=None) -> np.ndarray:
+def received_magnitude(a, theta, P: float, noise=None) -> np.ndarray:
     """:func:`coherent_magnitude` of phases ``theta`` (over its last axis)."""
-    return coherent_magnitude(phasors(a, theta).sum(axis=-1), P, sigma2, noise)
+    return coherent_magnitude(phasors(a, theta).sum(axis=-1), P, noise)
 
 
 def _check_theta(channel: ChannelRealization, theta) -> np.ndarray:
@@ -190,8 +193,9 @@ def measure_magnitude(
     if power.sigma2 == 0.0:
         return magnitude(channel, theta, power.P)
     theta = _check_theta(channel, theta)
-    noise = as_generator(rng).standard_normal((2, power.averaging_slots))
-    return float(received_magnitude(channel.a, theta, power.P, power.sigma2, noise))
+    scale = math.sqrt(power.sigma2 / 2.0)
+    noise = scale * as_generator(rng).standard_normal((2, power.averaging_slots))
+    return float(received_magnitude(channel.a, theta, power.P, noise))
 
 
 def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import generate_channel, PowerConfig
+from .channel import _whole, generate_channel, PowerConfig
 from .search import PerturbationSpec, _lockstep, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
@@ -53,12 +53,6 @@ def parse_angle(text: str) -> float:
         return float(t)
     except ValueError:
         raise ValueError(f"cannot parse angle: {text!r}") from None
-
-
-def _whole(name: str, value, low: int) -> None:
-    """Refuse ``value``, naming ``name``, unless it is an integer >= ``low``."""
-    if not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,7 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha", alphas)
         if self.eps is not None and not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        _whole("averaging_slots", self.averaging_slots, 1)
-        self.power()  # checks P and sigma2
+        self.power()  # checks P, sigma2 and averaging_slots
         self.perturbation()  # checks delta0
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
@@ -302,12 +295,10 @@ def _run_lockstep(
     last, mags = initial.copy(), initial.copy()
     inc_sum = np.zeros(config.trials)
     if not stop(reduce(0, mags, opt_mags)):
-        for _, inc in _lockstep(
-            batch, config.perturbation(), power, horizon, rngs, noise_rngs
-        ):
+        for _ in _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs):
             rows = batch.rows if len(batch.rows) < config.trials else slice(None)
+            inc_sum[rows] += batch.cur - last[rows]  # the step's increments, 0 on discard
             last[rows] = batch.cur
-            inc_sum[rows] += inc
             np.copyto(mags, last, where=running)
             if stop(reduce(batch.t, mags, opt_mags)):
                 break

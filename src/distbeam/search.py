@@ -190,12 +190,15 @@ class _Batch:
 
 
 def _noise(rngs, power: PowerConfig, steps: int):
-    """Slot noise for ``steps`` measurements of every row, shape
-    (steps, rows, 2, k); ``steps`` Nones when noiseless."""
+    """Slot noise w for ``steps`` measurements of every row, of variance
+    sigma2 and shape (steps, rows, 2, k); ``steps`` Nones when noiseless."""
     if power.sigma2 == 0.0:
         return [None] * steps
-    shape = (steps, 2, power.averaging_slots)
-    return np.stack([rng.standard_normal(shape) for rng in rngs], axis=1)
+    buf = np.empty((len(rngs), steps, 2, power.averaging_slots))
+    for rng, row in zip(rngs, buf):
+        rng.standard_normal(out=row)
+    buf *= math.sqrt(power.sigma2 / 2.0)
+    return buf.swapaxes(0, 1)
 
 
 def _start(channels, init_mode, power: PowerConfig, rngs):
@@ -210,13 +213,14 @@ def _start(channels, init_mode, power: PowerConfig, rngs):
     theta = np.stack([_init_theta(ch, init_mode, rng) for ch, rng in zip(channels, rngs)])
     amps = np.stack([ch.a for ch in channels])
     w = phasors(amps, theta)
-    cur = coherent_magnitude(w.sum(axis=1), power.P, power.sigma2, _noise(noise_rngs, power, 1)[0])
+    cur = coherent_magnitude(w.sum(axis=1), power.P, _noise(noise_rngs, power, 1)[0])
     return _Batch(amps, theta, w, cur), noise_rngs
 
 
 def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, accept=None):
     """Advance ``batch`` in place by propose -> measure -> accept. Each step
-    yields its keep mask and increments (0 on discard).
+    yields its keep mask; a step's increments are the changes of
+    ``batch.cur`` (0 on discard).
 
     Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]``,
     measures the proposal with slot noise from ``noise_rngs[k]``, and keeps
@@ -227,8 +231,10 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
     they leave with their streams at the next chunk start.
 
     A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
-    rows; chunking leaves the streams as they are. Proposed phasors are the
-    stored ones times e^{j(delta_i - delta_r)}.
+    rows; chunking leaves the streams as they are. Each row's uniform draws
+    land in one chunk buffer, mapped to [-delta0, delta0] in one pass as
+    ``Generator.uniform`` maps them. Proposed phasors are the stored ones
+    times e^{j(delta_i - delta_r)}.
     """
     n_s = batch.w.shape[1]
     slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
@@ -243,14 +249,20 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
             batch.theta = None if batch.theta is None else batch.theta[stay]
         size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(rngs) * (n_s + slots))),
                    max_steps - batch.t)
-        deltas = np.stack([rng.uniform(-d0, d0, (size, n_s)) for rng in rngs], axis=1)
+        deltas = np.empty((len(rngs), size, n_s))
+        for rng, row in zip(rngs, deltas):
+            rng.random(out=row)
+        deltas *= d0 - (-d0)
+        deltas += -d0
+        deltas = deltas.swapaxes(0, 1)
         turns = rotations(batch.amps, deltas)
         noise = _noise(noise_rngs, power, size)
+        proposed = np.empty_like(batch.w)
         if batch.theta is not None:
             batch.theta = canonical_phases(batch.theta)
         for i in range(size):
-            proposed = batch.w * turns[i]
-            pm = coherent_magnitude(proposed.sum(axis=1), power.P, power.sigma2, noise[i])
+            np.multiply(batch.w, turns[i], out=proposed)
+            pm = coherent_magnitude(proposed.sum(axis=1), power.P, noise[i])
             cur = batch.cur
             if accept is None:
                 keep = pm > cur
@@ -263,13 +275,12 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
                         f"decision map accepted a decrease at step {batch.t + 1}: "
                         f"{cur[r].item()!r} -> {pm[r].item()!r}"
                     )
-            inc = np.where(keep, pm - cur, 0.0)
             np.copyto(batch.w, proposed, where=keep[:, None])
             if batch.theta is not None:
                 np.add(batch.theta, deltas[i], out=batch.theta, where=keep[:, None])
             np.copyto(cur, pm, where=keep)
             batch.t += 1
-            yield keep, inc
+            yield keep
 
 
 def one_bit_step(
@@ -291,10 +302,10 @@ def one_bit_step(
     amps, theta = channel.a[None], state.theta[None].copy()
     batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
                    state.step_index)
-    keep, inc = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng]))
+    keep = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng]))
     if keep[0]:
         new_state = SearchState(canonical_phases(batch.theta[0]), float(batch.cur[0]), batch.t)
-        return new_state, True, float(inc[0])
+        return new_state, True, float(batch.cur[0] - state.current_mag)
     return SearchState(state.theta, state.current_mag, batch.t), False, 0.0
 
 
@@ -329,28 +340,26 @@ def run_trajectory(
     initial_mag = float(batch.cur[0])
     opt = optimal_magnitude(channel, power.P)
 
-    bits, mags, incs, thetas = [], [], [], []
+    bits, mags, thetas = [], [], []
     if not stop.met(initial_mag, opt):
-        for keep, inc in _lockstep(
-            batch, spec, power, stop.max_steps, [rng], noise_rngs, accept
-        ):
+        for keep in _lockstep(batch, spec, power, stop.max_steps, [rng], noise_rngs, accept):
             bits.append(keep[0])
             mags.append(batch.cur[0])
-            incs.append(inc[0])
             if record_thetas:
                 thetas.append(canonical_phases(batch.theta[0]))
             if stop.met(float(batch.cur[0]), opt):
                 break
 
     n = len(bits)
+    mags = np.asarray(mags, dtype=float)
     return Trajectory(
         power=power,
         initial_theta=initial_theta,
         initial_mag=initial_mag,
         final_theta=canonical_phases(batch.theta[0]),
         bits=np.asarray(bits, dtype=bool),
-        mags=np.asarray(mags, dtype=float),
-        increments=np.asarray(incs, dtype=float),
+        mags=mags,
+        increments=np.diff(mags, prepend=initial_mag),
         converged=stop.met(float(batch.cur[0]), opt),
         thetas=np.asarray(thetas, dtype=float).reshape(n, channel.n_s)
         if record_thetas

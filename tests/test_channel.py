@@ -17,6 +17,7 @@ from distbeam import (
     measure_magnitude,
     optimal_magnitude,
 )
+from distbeam.channel import coherent_magnitude
 
 
 @st.composite
@@ -148,6 +149,11 @@ def test_power_config_validation():
         PowerConfig(sigma2=-1.0)
     with pytest.raises(ValueError):
         PowerConfig(averaging_slots=0)
+    # a non-integral slot count is refused by name, before any search steps on it
+    for bad in (1.5, 2.0, "3"):
+        with pytest.raises(ValueError, match=r"^averaging_slots must be an integer >= 1"):
+            PowerConfig(sigma2=0.01, averaging_slots=bad)
+    PowerConfig(sigma2=0.01, averaging_slots=np.int64(3))  # NumPy ints pass
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="P must"):
             PowerConfig(P=bad)
@@ -155,6 +161,28 @@ def test_power_config_validation():
             PowerConfig(sigma2=bad)
     with pytest.raises(ValueError):
         magnitude(ChannelRealization(a=[1.0], phi=[0.0]), [0.0], P=0.0)
+
+
+@pytest.mark.parametrize("P", [1.0, 2.5])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["0d", "1d", "2d"])
+def test_coherent_magnitude_noisy_matches_the_slot_formula(shape, k, P):
+    rng = np.random.default_rng(len(shape) + 10 * k)
+    total = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    n = rng.standard_normal(shape + (2, k))
+    s = math.sqrt(0.03 / 2.0)
+    # the slot average written out: sqrt(P) total plus slot noise of variance 0.03
+    expected = np.hypot(
+        math.sqrt(P) * total.real[..., None] + s * n[..., 0, :],
+        math.sqrt(P) * total.imag[..., None] + s * n[..., 1, :],
+    ).mean(-1)
+    got = coherent_magnitude(total, P, s * n)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    if shape:  # a strided view, as the search kernel passes one step of its noise chunk
+        chunk = np.zeros(shape[:1] + (3,) + shape[1:] + (2, k))
+        chunk[:, 1] = s * n
+        assert np.array_equal(coherent_magnitude(total, P, chunk[:, 1]), expected)
 
 
 def test_channel_phases_stored_canonically():

@@ -510,6 +510,55 @@ def test_study_stdout_summary_and_exit_code(argv, code, line, summary, tmp_path,
     assert read(out / "summary.txt") == summary
 
 
+_NOISY_PINS = {
+    ("hitting-time", "1"): (
+        "n_s,alpha,hitting_time,slope,intercept,r2\n"
+        "4,0.5,266,-5.500000000000002,288.0,1.0\n"
+        "8,0.5,244,-5.500000000000002,288.0,1.0\n"
+        "4,0.9,,nan,nan,nan\n"
+        "8,0.9,,nan,nan,nan\n",
+        "unresolved=2\nincrement_identity_max_dev=0.0\n"),
+    ("hitting-time", "3"): (
+        "n_s,alpha,hitting_time,slope,intercept,r2\n"
+        "4,0.5,106,9.999999999999995,66.00000000000004,1.0\n"
+        "8,0.5,146,9.999999999999995,66.00000000000004,1.0\n"
+        "4,0.9,,nan,nan,nan\n"
+        "8,0.9,,nan,nan,nan\n",
+        "unresolved=2\nincrement_identity_max_dev=1.8446663539865262e-16\n"),
+    ("avg-convergence", "1"): (
+        "n_s,alpha,mean_time,std_time,censored\n"
+        "4,0.5,0.0,0.0,2\n"
+        "8,0.5,372.75,297.2152699083051,1\n"
+        "4,0.9,nan,nan,5\n"
+        "8,0.9,17.0,nan,4\n",
+        "censored_total=12\nincrement_identity_max_dev=0.0\n"),
+    ("avg-convergence", "3"): (
+        "n_s,alpha,mean_time,std_time,censored\n"
+        "4,0.5,108.4,159.3558910112833,0\n"
+        "8,0.5,303.2,332.4239762712671,0\n"
+        "4,0.9,nan,nan,5\n"
+        "8,0.9,656.5,730.4413049657036,3\n",
+        "censored_total=8\nincrement_identity_max_dev=1.8446663539865262e-16\n"),
+}
+
+
+@pytest.mark.parametrize("kind,slots", sorted(_NOISY_PINS),
+                         ids=[f"{kind}-k{slots}" for kind, slots in sorted(_NOISY_PINS)])
+def test_noisy_study_outputs_are_pinned(kind, slots, tmp_path):
+    # sigma2 = 0.01 swamps n_s = 4: estimates start near the thresholds, so
+    # some alphas stay unresolved or censored and exit 2
+    csv, tail = _NOISY_PINS[kind, slots]
+    out = tmp_path / "o"
+    rc = parse_and_dispatch(
+        [kind, "--n-s", "4,8", "--trials", "5", "--alpha", "0.5,0.9", "--sigma2", "0.01",
+         "--averaging-slots", slots, "--seed", "3", "--out", str(out)]
+    )
+    assert rc == 2
+    assert read(out / f"{kind.replace('-', '_')}.csv") == csv
+    head = f"subcommand={kind}\nalphas=0.5,0.9\nn_s=4,8\ntrials=5\n"
+    assert read(out / "summary.txt") == head + tail
+
+
 def test_hitting_time_unresolved_exits_2(tmp_path, capsys):
     out = tmp_path / "starved"
     rc = parse_and_dispatch(

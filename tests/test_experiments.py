@@ -380,7 +380,7 @@ def test_avg_convergence_trials_leave_the_batch_after_their_crossings(monkeypatc
 
     def counting(batch, *args):
         for step in _lockstep(batch, *args):
-            rows.append(len(step[0]))
+            rows.append(len(step))
             yield step
 
     monkeypatch.setattr(experiments, "_lockstep", counting)

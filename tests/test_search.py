@@ -314,13 +314,25 @@ def test_always_accept_violates_contract():
 
 
 def test_batched_uniform_draws_match_sequential():
-    # the experiments engine pre-draws perturbations in chunks; the stream
-    # must be identical to per-step draws
-    r1 = np.random.default_rng(9)
-    r2 = np.random.default_rng(9)
-    batch = r1.uniform(-0.1, 0.1, (64, 7))
-    seq = np.stack([r2.uniform(-0.1, 0.1, 7) for _ in range(64)])
-    assert np.array_equal(batch, seq)
+    # the lockstep kernel draws a chunk of perturbations per row straight into
+    # one (rows, steps, n_s) buffer and maps it to [-d0, d0] in one pass; the
+    # values and what each generator draws next must be those of per-step draws
+    seeds = (9, 10, 11)
+    for d0 in (0.1, math.pi / 90, math.pi, 1e-300):
+        r1 = [np.random.default_rng(s) for s in seeds]
+        r2 = [np.random.default_rng(s) for s in seeds]
+        r3 = [np.random.default_rng(s) for s in seeds]
+        batch = np.stack([r.uniform(-d0, d0, (64, 7)) for r in r1])
+        seq = np.stack([np.stack([r.uniform(-d0, d0, 7) for _ in range(64)]) for r in r2])
+        buf = np.empty((len(seeds), 64, 7))
+        for r, row in zip(r3, buf):
+            r.random(out=row)
+        buf *= d0 - (-d0)
+        buf += -d0
+        assert np.array_equal(batch, seq)
+        assert np.array_equal(buf, seq)
+        for a, b, c in zip(r1, r2, r3):
+            assert a.random() == b.random() == c.random()
 
 
 def test_convergence_in_probability_fraction_is_monotone():
