@@ -138,6 +138,55 @@ def test_improvement_probability_rejects_in_region_probe():
     assert "status=in-epsilon-region" in est.to_text()
 
 
+_OFF_PROBE = (0.0, math.pi / 2)  # magnitude sqrt 2 of the optimum 2, outside eps = 0.2
+
+
+@pytest.mark.parametrize(
+    "theta,samples,gamma,seed,text,next_draw",
+    [
+        (_OFF_PROBE, 200, None, 0,
+         "status=ok\ngamma_hat=0.046394485684608355\neta_hat=0.275\nk0_diag=79\n"
+         "samples=200\nmag_at_theta=1.4142135623730951\n", 0.20216809397548463),
+        (_OFF_PROBE, 200, 1e-3, 0,
+         "status=ok\ngamma_hat=0.001\neta_hat=0.54\nk0_diag=1852\n"
+         "samples=200\nmag_at_theta=1.4142135623730951\n", 0.20216809397548463),
+        # the lone sample lowers the magnitude: no positive improvement to take a median of
+        (_OFF_PROBE, 1, None, 1,
+         "status=no-improvement-observed\ngamma_hat=\neta_hat=\nk0_diag=\n"
+         "samples=1\nmag_at_theta=1.4142135623730951\n", 0.14415961271963373),
+        # no perturbation of delta0 = pi/30 gains 1.0
+        (_OFF_PROBE, 200, 1.0, 0,
+         "status=no-improvement-observed\ngamma_hat=1.0\neta_hat=0.0\nk0_diag=\n"
+         "samples=200\nmag_at_theta=1.4142135623730951\n", 0.20216809397548463),
+        # inside the region nothing is drawn and gamma is not looked at
+        ((0.1, 0.1), 200, -1.0, 0,
+         "status=in-epsilon-region\ngamma_hat=\neta_hat=\nk0_diag=\n"
+         "samples=200\nmag_at_theta=2.0\n", 0.6369616873214543),
+    ],
+    ids=["ok", "ok-given-gamma", "none-positive", "eta-zero", "in-region"],
+)
+def test_improvement_probability_outcomes_are_pinned(theta, samples, gamma, seed, text,
+                                                     next_draw):
+    ch = ChannelRealization(a=[1.0, 1.0], phi=[0.0, 0.0])
+    rng = np.random.default_rng(seed)
+    est = estimate_improvement_probability(
+        ch, np.array(theta), 1.0, math.pi / 30, eps=0.2, samples=samples, gamma=gamma, rng=rng
+    )
+    assert est.to_text() == f"check=improvement-probability\n{text}opt_mag=2.0\neps=0.2\n"
+    assert rng.random() == next_draw
+
+
+def test_improvement_probability_checks_gamma_after_sampling():
+    ch = ChannelRealization(a=[1.0, 1.0], phi=[0.0, 0.0])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        estimate_improvement_probability(
+            ch, np.array(_OFF_PROBE), 1.0, math.pi / 30, eps=0.2, samples=200,
+            gamma=-1.0, rng=rng,
+        )
+    assert rng.random() == 0.20216809397548463  # the 400 perturbation draws were taken
+
+
 def test_improvement_probability_eta_concentration_under_doubling():
     # same seed makes the 2N-sample run a superset of the N-sample run
     ch = generate_channel(4, np.random.default_rng(5))
