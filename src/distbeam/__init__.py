@@ -10,7 +10,6 @@ from .channel import (
     TWO_PI,
     ChannelRealization,
     PowerConfig,
-    as_generator,
     canonical_phases,
     epsilon_region_contains,
     generate_channel,

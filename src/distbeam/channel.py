@@ -17,13 +17,6 @@ TWO_PI = 2.0 * math.pi
 SeedLike = int | np.random.SeedSequence | np.random.Generator | None
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Return ``seed`` itself if it is a Generator, else ``default_rng(seed)``."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def canonical_phases(theta) -> np.ndarray:
     """Reduce phases to [0, 2pi).
 
@@ -73,8 +66,8 @@ class ChannelRealization:
 
 
 def _whole(name: str, value, low: int) -> None:
-    """Refuse ``value``, naming ``name``, unless it is an integer >= ``low``."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """Refuse ``value``, naming ``name``, unless it is an integer >= ``low`` (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -194,7 +187,7 @@ def measure_magnitude(
         return magnitude(channel, theta, power.P)
     theta = _check_theta(channel, theta)
     scale = math.sqrt(power.sigma2 / 2.0)
-    noise = scale * as_generator(rng).standard_normal((2, power.averaging_slots))
+    noise = scale * np.random.default_rng(rng).standard_normal((2, power.averaging_slots))
     return float(received_magnitude(channel.a, theta, power.P, noise))
 
 
@@ -202,7 +195,7 @@ def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:
     """Draw h_i i.i.d. complex Gaussian, zero mean, unit variance (E|h|^2 = 1)."""
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     scale = math.sqrt(0.5)
     re = scale * rng.standard_normal(n_s)
     im = scale * rng.standard_normal(n_s)

@@ -123,13 +123,15 @@ def _refuse_unread_keys(args, config: ExperimentConfig) -> None:
     """Refuse, naming it, the first key but kind, then verify flag, that the run
     does not read and that is away from its default: it would drop it silently."""
     run = getattr(args, "check", args.subcommand)
+    # slots average noisy estimates: a noiseless run reads none
+    reads = [key for key in _READS[run] if key != "averaging_slots" or config.sigma2 > 0]
     default = ExperimentConfig()
     settings = [(key, row.format, getattr(config, row.field), getattr(default, row.field))
                 for key, row in CONFIG_SCHEMA.items() if key != "kind"]
     settings += [(flag, str, getattr(args, flag, usual), usual)
                  for flag, (usual, _) in _VERIFY_FLAGS.items()]
     for key, fmt, value, usual in settings:
-        if key not in _READS[run] and value != usual:
+        if key not in reads and value != usual:
             name = f"verify --check {run}" if hasattr(args, "check") else run
             raise ValueError(f"{name} does not read {key}: got {key}={fmt(value)}, "
                              f"expected the default {key}={fmt(usual)}")

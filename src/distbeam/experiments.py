@@ -90,10 +90,7 @@ class ExperimentConfig:
             raise ValueError("n_s values must be strictly increasing")
         object.__setattr__(self, "n_s_values", ns)
         _whole("trials", self.trials, 1)
-        alphas = self.alpha
-        if isinstance(alphas, (int, float)):
-            alphas = (float(alphas),)
-        alphas = tuple(float(a) for a in alphas)
+        alphas = tuple(float(a) for a in np.atleast_1d(self.alpha))
         if not alphas:
             raise ValueError("alpha list must be non-empty")
         if any(not 0.0 < a <= 1.0 for a in alphas):
@@ -114,6 +111,9 @@ class ExperimentConfig:
         if self.horizon is not None:
             _whole("horizon", self.horizon, 1)
         _whole("master_seed", self.master_seed, 0)
+        for name in ("eps", "delta0", "P", "sigma2"):  # a NumPy float dumps as np.float64(...)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     def horizon_for(self, n_s: int) -> int:
         return self.horizon if self.horizon is not None else 200 * n_s
@@ -265,8 +265,8 @@ def _run_lockstep(
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
-    order. ``magnitudes`` is one per-trial array, updated in place, so a
-    reducer that keeps it copies it; it holds a retired trial's value. Returns
+    order. ``magnitudes`` is one per-trial array, updated in place: a reducer
+    copies what it keeps and reads no entry of a trial it is done with. Returns
     the per-trial optimal magnitudes and the worst relative telescoping error
     |Mag[T] - (Mag[0] + sum I)| / Mag[T], T being each trial's last step run.
     """
@@ -292,15 +292,14 @@ def _run_lockstep(
         return bool(done)
 
     initial = batch.cur.copy()
-    last, mags = initial.copy(), initial.copy()
+    last = initial.copy()
     inc_sum = np.zeros(config.trials)
-    if not stop(reduce(0, mags, opt_mags)):
+    if not stop(reduce(0, last, opt_mags)):
         for _ in _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs):
             rows = batch.rows if len(batch.rows) < config.trials else slice(None)
             inc_sum[rows] += batch.cur - last[rows]  # the step's increments, 0 on discard
             last[rows] = batch.cur
-            np.copyto(mags, last, where=running)
-            if stop(reduce(batch.t, mags, opt_mags)):
+            if stop(reduce(batch.t, last, opt_mags)):
                 break
 
     dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
@@ -362,8 +361,6 @@ class HittingTimePoint:
 
     n_s: int
     hitting_time: int | None
-    trials: int
-    threshold: float
     mean_opt_mag: float
 
 
@@ -410,13 +407,7 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     results = []
     for alpha in config.alpha:
         points = [
-            HittingTimePoint(
-                n_s=n_s,
-                hitting_time=crossed.get(alpha),
-                trials=config.trials,
-                threshold=alpha * mean_opt,
-                mean_opt_mag=mean_opt,
-            )
+            HittingTimePoint(n_s=n_s, hitting_time=crossed.get(alpha), mean_opt_mag=mean_opt)
             for n_s, crossed, mean_opt in per_ns
         ]
         resolved = [(p.n_s, p.hitting_time) for p in points if p.hitting_time is not None]

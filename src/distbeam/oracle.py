@@ -21,7 +21,6 @@ from .channel import (
     TWO_PI,
     ChannelRealization,
     SeedLike,
-    as_generator,
     canonical_phases,
     epsilon_region_contains,
     magnitude,
@@ -191,45 +190,25 @@ def estimate_improvement_probability(
         raise ValueError("delta0 must be positive")
     theta = canonical_phases(theta)
     mag0 = magnitude(channel, theta, P)
-    opt = optimal_magnitude(channel, P)
-    base = dict(
-        samples=samples, theta=theta, mag_at_theta=mag0, opt_mag=opt, eps=eps
-    )
-    if epsilon_region_contains(channel, theta, P, eps):
-        return ImprovementEstimate(
-            status="in-epsilon-region", gamma_hat=None, eta_hat=None, k0_diag=None, **base
-        )
-    rng = as_generator(rng)
-    deltas = rng.uniform(-delta0, delta0, (samples, channel.n_s))
-    mags = magnitude_batch(channel, canonical_phases(theta + deltas), P)
-    improvements = mags - mag0
-    if gamma is None:
-        positive = improvements[improvements > 0]
-        if positive.size == 0:
-            return ImprovementEstimate(
-                status="no-improvement-observed",
-                gamma_hat=None,
-                eta_hat=None,
-                k0_diag=None,
-                **base,
-            )
-        gamma_hat = float(np.median(positive))
-    else:
-        if not gamma > 0:
+    status, gamma_hat, eta_hat, k0 = "in-epsilon-region", None, None, None
+    if not epsilon_region_contains(channel, theta, P, eps):
+        deltas = np.random.default_rng(rng).uniform(-delta0, delta0, (samples, channel.n_s))
+        improvements = magnitude_batch(channel, canonical_phases(theta + deltas), P) - mag0
+        if gamma is None:
+            positive = improvements[improvements > 0]
+            gamma_hat = float(np.median(positive)) if positive.size else None
+        elif gamma > 0:
+            gamma_hat = float(gamma)
+        else:
             raise ValueError("gamma must be positive")
-        gamma_hat = float(gamma)
-    eta_hat = float(np.mean(improvements >= gamma_hat))
-    if eta_hat == 0.0:
-        return ImprovementEstimate(
-            status="no-improvement-observed",
-            gamma_hat=gamma_hat,
-            eta_hat=0.0,
-            k0_diag=None,
-            **base,
-        )
-    k0 = math.ceil(math.sqrt(P) * float(channel.a.max()) / (gamma_hat * eta_hat))
+        if gamma_hat is not None:
+            eta_hat = float(np.mean(improvements >= gamma_hat))
+        status = "ok" if eta_hat else "no-improvement-observed"  # eta_hat None or 0.0
+        if eta_hat:
+            k0 = math.ceil(math.sqrt(P) * float(channel.a.max()) / (gamma_hat * eta_hat))
     return ImprovementEstimate(
-        status="ok", gamma_hat=gamma_hat, eta_hat=eta_hat, k0_diag=k0, **base
+        status=status, gamma_hat=gamma_hat, eta_hat=eta_hat, k0_diag=k0, samples=samples,
+        theta=theta, mag_at_theta=mag0, opt_mag=optimal_magnitude(channel, P), eps=eps,
     )
 
 
@@ -259,7 +238,7 @@ def verify_shift_invariance(
     relative to the optimum; must sit at double-precision noise."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     thetas = rng.uniform(0.0, TWO_PI, (trials, channel.n_s))
     shifts = rng.uniform(0.0, TWO_PI, trials)
     base = magnitude_batch(channel, thetas, P)

@@ -23,7 +23,6 @@ from .channel import (
     ChannelRealization,
     PowerConfig,
     SeedLike,
-    as_generator,
     canonical_phases,
     coherent_magnitude,
     measure_magnitude,
@@ -159,7 +158,7 @@ def init_state(
     phases, so theta[0] equals the channel phases), ``"uniform"`` (each
     component i.i.d. uniform on [0, 2pi)), or an explicit phase vector.
     """
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     theta = _init_theta(channel, mode, rng)
     mag = measure_magnitude(channel, theta, power, rng)
     return SearchState(theta=theta, current_mag=mag, step_index=0)
@@ -170,7 +169,7 @@ def sample_perturbation(
 ) -> np.ndarray:
     """One perturbation vector: n_s i.i.d. uniform draws on [-delta0, delta0].
     The measure is the same at every step, whatever ``step_index``."""
-    return as_generator(rng).uniform(-spec.delta0, spec.delta0, n_s)
+    return np.random.default_rng(rng).uniform(-spec.delta0, spec.delta0, n_s)
 
 
 @dataclass
@@ -298,7 +297,7 @@ def one_bit_step(
     and then the slot noise. Returns the new state, whether the move was kept,
     and the magnitude increment (0 on discard).
     """
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     amps, theta = channel.a[None], state.theta[None].copy()
     batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
                    state.step_index)
@@ -334,7 +333,7 @@ def run_trajectory(
     convergence is reported via ``converged=False``, not an exception.
     Identical inputs and seed give a bit-identical trajectory.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     batch, noise_rngs = _start([channel], init_mode, power, [rng])
     initial_theta = batch.theta[0].copy()
     initial_mag = float(batch.cur[0])

@@ -150,7 +150,7 @@ def test_power_config_validation():
     with pytest.raises(ValueError):
         PowerConfig(averaging_slots=0)
     # a non-integral slot count is refused by name, before any search steps on it
-    for bad in (1.5, 2.0, "3"):
+    for bad in (1.5, 2.0, "3", True):
         with pytest.raises(ValueError, match=r"^averaging_slots must be an integer >= 1"):
             PowerConfig(sigma2=0.01, averaging_slots=bad)
     PowerConfig(sigma2=0.01, averaging_slots=np.int64(3))  # NumPy ints pass

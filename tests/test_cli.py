@@ -180,6 +180,9 @@ def _no_step(*args):
         (["verify", "--check", "local-global", "--n-s", "2", "--init-mode", "uniform"],
          "does not read init_mode: got init_mode=uniform"),
         (["hitting-time", "--n-s", "4", "--eps", "0.3"], "does not read eps: got eps=0.3"),
+        # slots average noisy estimates, so a noiseless run reads none
+        (["hitting-time", "--n-s", "4,8", "--trials", "3", "--averaging-slots", "4"],
+         "does not read averaging_slots: got averaging_slots=4"),
         (["avg-convergence", "--n-s", "4", "--eps", "0.3"], "does not read eps: got eps=0.3"),
         (["sample-path", "--n-s", "4", "--alpha", "0.3"], "does not read alpha: got alpha=0.3"),
         (["sample-path", "--config", "hitting-time.cfg"],
@@ -192,6 +195,7 @@ def _no_step(*args):
     ],
     ids=["verify-increment-sigma2", "verify-n_s", "sample-path-n_s", "verify-improvement",
          "verify-shift-invariance", "verify-local-global", "hitting-time-eps",
+         "hitting-time-noiseless-slots",
          "avg-convergence-eps", "sample-path-alpha", "sample-path-config",
          "verify-increment-flags", "verify-shift-invariance-samples"],
 )
