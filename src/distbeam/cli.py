@@ -119,12 +119,17 @@ def _resolve_config(args) -> ExperimentConfig:
     return config_from_items(items, base=base)
 
 
+def _reads(args, config: ExperimentConfig) -> list[str]:
+    """The config keys and verify flags the run reads."""
+    # slots average noisy estimates: a noiseless run reads none
+    return [key for key in _READS[getattr(args, "check", args.subcommand)]
+            if key != "averaging_slots" or config.sigma2 > 0]
+
+
 def _refuse_unread_keys(args, config: ExperimentConfig) -> None:
     """Refuse, naming it, the first key but kind, then verify flag, that the run
     does not read and that is away from its default: it would drop it silently."""
-    run = getattr(args, "check", args.subcommand)
-    # slots average noisy estimates: a noiseless run reads none
-    reads = [key for key in _READS[run] if key != "averaging_slots" or config.sigma2 > 0]
+    reads = _reads(args, config)
     default = ExperimentConfig()
     settings = [(key, row.format, getattr(config, row.field), getattr(default, row.field))
                 for key, row in CONFIG_SCHEMA.items() if key != "kind"]
@@ -132,7 +137,7 @@ def _refuse_unread_keys(args, config: ExperimentConfig) -> None:
                  for flag, (usual, _) in _VERIFY_FLAGS.items()]
     for key, fmt, value, usual in settings:
         if key not in reads and value != usual:
-            name = f"verify --check {run}" if hasattr(args, "check") else run
+            name = f"verify --check {args.check}" if hasattr(args, "check") else args.subcommand
             raise ValueError(f"{name} does not read {key}: got {key}={fmt(value)}, "
                              f"expected the default {key}={fmt(usual)}")
 
@@ -222,7 +227,7 @@ def _run_verify(args, config: ExperimentConfig) -> int:
             samples=args.samples, rng=rng,
         )
     else:  # increment
-        _check_fits(1, n_s, _TRAJECTORY_STEP_BYTES * config.horizon_for(n_s))
+        _check_fits(config, n_s, _TRAJECTORY_STEP_BYTES * config.horizon_for(n_s), rows=1)
         traj = run_trajectory(
             channel,
             config.perturbation(),
@@ -242,11 +247,12 @@ def _run_verify(args, config: ExperimentConfig) -> int:
 
 
 def _sizes(args, config: ExperimentConfig) -> str:
-    """The sizes a run allocates by, as key=value: the config's n_s, trials
-    and horizon, then the verify size flag its check reads."""
-    sizes = {key: CONFIG_SCHEMA[key].format(getattr(config, CONFIG_SCHEMA[key].field))
-             for key in ("n_s", "trials", "horizon")}
-    reads = _READS[getattr(args, "check", args.subcommand)]
+    """The sizes a run allocates by and reads, as key=value: the config's n_s,
+    trials, averaging_slots (when noisy) and horizon, then the verify size flag
+    its check reads."""
+    reads = _reads(args, config)
+    sizes = {key: row.format(getattr(config, row.field)) for key, row in CONFIG_SCHEMA.items()
+             if key in reads and key in ("n_s", "trials", "averaging_slots", "horizon")}
     sizes.update((flag, getattr(args, flag)) for flag in _VERIFY_FLAGS if flag in reads)
     return key_value_text(sizes, " ").rstrip()
 

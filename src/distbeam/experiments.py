@@ -55,28 +55,54 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle: {text!r}") from None
 
 
+class ConfigKey(NamedTuple):
+    """One config-file key: the ExperimentConfig field it sets, the parser of
+    its text and the canonical formatter. Its CLI flag is ``--`` plus the key
+    with ``_`` turned into ``-``."""
+
+    field: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+def _key(default, parse=str, format=str, key=None):
+    """A config field: its default, the parser of its text, its canonical
+    formatter and its config-file key (the field name unless given)."""
+    return dataclasses.field(default=default,
+                             metadata={"key": key, "parse": parse, "format": format})
+
+
+def _comma_list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(item(v) for v in text.split(","))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, reproducible description of one experiment.
+    """Complete, reproducible description of one experiment; each field is
+    one config key, in the canonical dump order.
 
     ``alpha`` may be a single fraction or a tuple of fractions; all fractions
     share the same simulated trials (seeds do not depend on alpha).
     ``horizon=None`` means the default budget of 200*n_s steps per n_s.
     """
 
-    kind: str = "hitting-time"
-    n_s_values: tuple[int, ...] = (10,)
-    trials: int = 100
-    alpha: tuple[float, ...] = (0.9,)
-    eps: float | None = None
-    delta0: float = math.pi / 90.0
-    P: float = 1.0
-    sigma2: float = 0.0
-    averaging_slots: int = 1
-    init_mode: str = "origin"
-    channel_policy: str = "redrawn-per-trial"
-    horizon: int | None = None
-    master_seed: int = 0
+    kind: str = _key("hitting-time")
+    n_s_values: tuple[int, ...] = _key(
+        (10,), _comma_list(int), lambda v: ",".join(map(str, v)), key="n_s")
+    trials: int = _key(100, int)
+    alpha: tuple[float, ...] = _key((0.9,), _comma_list(float), lambda v: ",".join(map(repr, v)))
+    eps: float | None = _key(
+        None, lambda t: None if t == "" else float(t), lambda v: "" if v is None else repr(v))
+    delta0: float = _key(math.pi / 90.0, parse_angle, repr)
+    P: float = _key(1.0, float, repr)
+    sigma2: float = _key(0.0, float, repr)
+    averaging_slots: int = _key(1, int)
+    init_mode: str = _key("origin")
+    channel_policy: str = _key("redrawn-per-trial")
+    horizon: int | None = _key(
+        None, lambda t: None if t in ("", "auto") else int(t),
+        lambda v: "auto" if v is None else str(v))
+    master_seed: int = _key(0, int)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -133,45 +159,10 @@ class ExperimentConfig:
         return PerturbationSpec(delta0=self.delta0)
 
 
-class ConfigKey(NamedTuple):
-    """One config-file key: the ExperimentConfig field it sets, the parser of
-    its text and the canonical formatter. Its CLI flag is ``--`` plus the key
-    with ``_`` turned into ``-``."""
-
-    field: str
-    parse: Callable[[str], object]
-    format: Callable[[object], str]
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-# key=value config file schema; key order is the canonical dump order
+# key=value config file schema, read off the fields; key order is the canonical dump order
 CONFIG_SCHEMA = {
-    "kind": ConfigKey("kind", str, str),
-    "n_s": ConfigKey("n_s_values", _int_list, lambda v: ",".join(map(str, v))),
-    "trials": ConfigKey("trials", int, str),
-    "alpha": ConfigKey("alpha", _float_list, lambda v: ",".join(map(repr, v))),
-    "eps": ConfigKey(
-        "eps", lambda t: None if t == "" else float(t), lambda v: "" if v is None else repr(v)
-    ),
-    "delta0": ConfigKey("delta0", parse_angle, repr),
-    "P": ConfigKey("P", float, repr),
-    "sigma2": ConfigKey("sigma2", float, repr),
-    "averaging_slots": ConfigKey("averaging_slots", int, str),
-    "init_mode": ConfigKey("init_mode", str, str),
-    "channel_policy": ConfigKey("channel_policy", str, str),
-    "horizon": ConfigKey(
-        "horizon",
-        lambda t: None if t in ("", "auto") else int(t),
-        lambda v: "auto" if v is None else str(v),
-    ),
-    "master_seed": ConfigKey("master_seed", int, str),
+    f.metadata["key"] or f.name: ConfigKey(f.name, f.metadata["parse"], f.metadata["format"])
+    for f in dataclasses.fields(ExperimentConfig)
 }
 
 
@@ -245,11 +236,15 @@ _STEP_ROW_BYTES = 192
 _SAMPLE_VALUE_BYTES = 16 + 148
 
 
-def _check_fits(rows: int, n_s: int, held_bytes: int = 0) -> None:
-    """Refuse a run up front, before any per-row object exists, when its
-    phasors, per-row objects and the ``held_bytes`` its study keeps alone
-    exceed physical memory."""
-    need = rows * (16 * n_s + _ROW_OBJECT_BYTES) + held_bytes
+def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
+                rows: int | None = None) -> None:
+    """Refuse a run of ``rows`` (by default ``config.trials``) up front, before
+    any per-row object exists, when its phasors, per-row objects, slot noise
+    (a noisy step draws 2 floats per averaging slot and row) and the
+    ``held_bytes`` its study keeps alone exceed physical memory."""
+    rows = config.trials if rows is None else rows
+    slots = config.averaging_slots if config.sigma2 > 0 else 0
+    need = rows * (16 * (n_s + slots) + _ROW_OBJECT_BYTES) + held_bytes
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError(f"a run of {rows} rows needs at least {need} bytes")
 
@@ -319,7 +314,7 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
     horizon = config.horizon_for(n_s)
     # an eps-stopped run may stop at t=0, so only a budget run must hold its curves
     held = (horizon + 1) * (_STEP_ROW_BYTES + config.trials * _SAMPLE_VALUE_BYTES)
-    _check_fits(config.trials, n_s, 0 if config.eps is not None else held)
+    _check_fits(config, n_s, 0 if config.eps is not None else held)
     eps = config.eps
     steps = []
 
@@ -361,7 +356,6 @@ class HittingTimePoint:
 
     n_s: int
     hitting_time: int | None
-    mean_opt_mag: float
 
 
 @dataclass(frozen=True)
@@ -384,7 +378,7 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
                          "(zero beamforming phases); set init_mode=origin")
     per_ns, max_dev = [], 0.0
     for n_s in config.n_s_values:
-        _check_fits(config.trials, n_s)
+        _check_fits(config, n_s)
         crossed = {}  # alpha -> the first step the mean reaches its threshold
         pending = []  # (threshold, alpha) not yet reached, the lowest last
 
@@ -400,16 +394,13 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
                 crossed[pending.pop()[1]] = t
             return not pending
 
-        opt_mags, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), cross)
-        per_ns.append((n_s, crossed, float(opt_mags.mean())))
+        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), cross)
+        per_ns.append((n_s, crossed))
         max_dev = max(max_dev, dev)
 
     results = []
     for alpha in config.alpha:
-        points = [
-            HittingTimePoint(n_s=n_s, hitting_time=crossed.get(alpha), mean_opt_mag=mean_opt)
-            for n_s, crossed, mean_opt in per_ns
-        ]
+        points = [HittingTimePoint(n_s, crossed.get(alpha)) for n_s, crossed in per_ns]
         resolved = [(p.n_s, p.hitting_time) for p in points if p.hitting_time is not None]
         fit = linear_fit(*zip(*resolved)) if len(resolved) >= 2 else (math.nan,) * 3
         results.append(HittingTimeResult(alpha, tuple(points), *fit, max_dev))
@@ -445,7 +436,7 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     top = int(np.argmax(alphas))
     per_ns, max_dev = [], 0.0
     for n_s in config.n_s_values:
-        _check_fits(config.trials, n_s)
+        _check_fits(config, n_s)
         first = np.full((len(config.alpha), config.trials), -1)
         pending = np.empty(first.shape)  # thresholds not yet reached, inf once reached
 

@@ -147,9 +147,16 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
          "trials=1000000000000000"),
         (["verify", "--check", "increment", "--n-s", "4",
           "--horizon", "100000000000000000000"], "horizon=100000000000000000000"),
+        # a noisy step draws 2 floats per averaging slot and row
+        (["hitting-time", "--n-s", "2", "--trials", "2", "--sigma2", "0.1",
+          "--averaging-slots", "100000000000000000000"],
+         "averaging_slots=100000000000000000000"),
+        (["hitting-time", "--n-s", "2", "--trials", "2", "--sigma2", "0.1",
+          "--averaging-slots", "1000000000"], "averaging_slots=1000000000"),
     ],
     ids=["samples", "n_s", "n_s-beyond-int64", "horizon-beyond-int64", "horizon-2^62",
-         "trials", "runs", "verify-increment-horizon"],
+         "trials", "runs", "verify-increment-horizon", "averaging-slots-beyond-int64",
+         "averaging-slots"],
 )
 def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
     # each run is refused before its first allocation: 10^15 samples exceed a
@@ -165,6 +172,42 @@ def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
 
 def _no_step(*args):
     raise AssertionError("the run started stepping")
+
+
+@pytest.mark.parametrize(
+    "argv,sizes",
+    [
+        (["verify", "--check", "improvement", "--n-s", "10", "--samples", "1000000000000000"],
+         "n_s=10 samples=1000000000000000"),
+        (["verify", "--check", "increment", "--n-s", "4", "--horizon", "100000000000000000000"],
+         "n_s=4 horizon=100000000000000000000"),
+        (["hitting-time", "--n-s", "4", "--trials", "1000000000000000", "--horizon", "1"],
+         "n_s=4 trials=1000000000000000 horizon=1"),
+        (["avg-convergence", "--n-s", "2", "--trials", "2", "--sigma2", "0.1",
+          "--averaging-slots", "1000000000"],
+         "n_s=2 trials=2 averaging_slots=1000000000 horizon=auto"),
+    ],
+    ids=["verify-improvement", "verify-increment", "noiseless-study", "noisy-study"],
+)
+def test_out_of_memory_names_only_the_sizes_the_run_reads(argv, sizes, tmp_path, capsys):
+    assert parse_and_dispatch(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory at {sizes}\n"
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_noisy_runs_count_their_slot_noise(kind, tmp_path, monkeypatch, capsys):
+    # one step's slot noise for the two rows takes twice physical memory; the
+    # run is refused before it starts stepping
+    slots = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 16
+    monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
+    rc = parse_and_dispatch(
+        [kind, "--n-s", "2", "--trials", "2", "--sigma2", "0.1", "--averaging-slots", str(slots),
+         "--out", str(tmp_path / "x")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"averaging_slots={slots}" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,62 @@ def test_init_uniform_is_seeded():
     assert np.all(s1.theta >= 0) and np.all(s1.theta < TWO_PI)
 
 
+def _start_of(ch, init_mode):
+    """The initial record of a zero-step run_trajectory."""
+    return run_trajectory(ch, PerturbationSpec(delta0=0.1), POWER, init_mode, StopRule.steps(0))
+
+
+def test_trajectory_init_modes():
+    ch = ChannelRealization(a=[1.0, 1.0], phi=[0.3, 1.2])
+    zero = _start_of(ch, "zero")
+    assert np.array_equal(zero.initial_theta, np.array([0.3, 1.2]))
+    assert zero.initial_mag == magnitude(ch, ch.phi, 1.0)
+    ch = generate_channel(5, np.random.default_rng(2))
+    origin = _start_of(ch, "origin")
+    assert np.array_equal(origin.initial_theta, _start_of(ch, "zero").initial_theta)
+    ch = ChannelRealization(a=[1.0, 1.0, 1.0], phi=[0.5, 1.5, 2.5])
+    explicit = _start_of(ch, np.zeros(3))
+    assert np.array_equal(explicit.initial_theta, np.zeros(3))
+    assert explicit.initial_mag == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="length"):
+        _start_of(ch, np.zeros(2))
+    with pytest.raises(ValueError, match="init mode"):
+        _start_of(ch, "sideways")
+
+
+def test_trajectory_keeps_only_strict_improvements():
+    # near-antipodal two-element channel: closed form 2|cos(gap/2)|
+    ch, theta = two_element(math.pi - 0.01)
+    spec = PerturbationSpec(delta0=math.pi / 30)
+    n_kept = 0
+    for seed in range(20):
+        traj = run_trajectory(ch, spec, POWER, theta, StopRule.steps(1), seed=seed)
+        assert traj.n_steps == 1
+        if traj.bits[0]:
+            n_kept += 1
+            assert traj.increments[0] > 0
+            assert traj.final_mag > traj.initial_mag
+            gap = float(np.diff(traj.final_theta)[0])
+            assert traj.final_mag == pytest.approx(2 * abs(math.cos(gap / 2)), rel=1e-12)
+        else:
+            assert traj.increments[0] == 0.0
+            assert np.array_equal(traj.final_theta, traj.initial_theta)
+            assert traj.final_mag == traj.initial_mag
+    assert 0 < n_kept < 20
+
+
+def test_trajectory_ties_discard():
+    # single transmitter: every proposal has the same magnitude, so nothing is kept
+    ch = ChannelRealization(a=[2.0], phi=[1.0])
+    spec = PerturbationSpec(delta0=0.3)
+    for seed in range(5):
+        traj = run_trajectory(ch, spec, POWER, "zero", StopRule.steps(5), seed=seed)
+        assert not traj.bits.any()
+        assert np.all(traj.increments == 0.0)
+        assert np.all(traj.thetas == traj.initial_theta)
+        assert np.array_equal(traj.final_theta, traj.initial_theta)
+
+
 @pytest.mark.parametrize("delta0", [math.pi / 30, math.pi / 90])
 def test_perturbation_support(delta0):
     spec = PerturbationSpec(delta0=delta0)
