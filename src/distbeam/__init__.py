@@ -50,7 +50,6 @@ from .oracle import (
     verify_shift_invariance,
 )
 from .search import (
-    DecisionMapViolation,
     PerturbationSpec,
     SearchState,
     StopRule,

@@ -107,21 +107,27 @@ def phasors(a, theta) -> np.ndarray:
     return out
 
 
-def coherent_magnitude(total, P: float, noise=None) -> np.ndarray:
+def coherent_magnitude(total, P: float, noise=None, out=None) -> np.ndarray:
     """The one formula behind every magnitude, from the sums ``total`` of
     :func:`phasors` that :func:`received_magnitude` and the search kernel form.
 
     Noiseless: sqrt(P) * |total|. With ``noise`` (slot noise w of shape
     (..., 2, k): real parts, then imaginary parts, each of variance sigma2/2),
-    the mean over k slots of |sqrt(P) total + w|.
+    the mean over k slots of |sqrt(P) total + w|. ``out`` takes the buffers
+    to write into, so that the search kernel's steps allocate nothing: the
+    magnitudes (floats shaped like ``total``) when noiseless; with noise, a
+    tuple of those, sqrt(P) total, the slot values (shaped like ``noise``) and
+    their magnitudes (shaped like ``noise[..., 0, :]``).
     """
     sqrt_p = math.sqrt(P)
     if noise is None:
-        return sqrt_p * np.abs(total)
+        return np.multiply(np.abs(total, out=out), sqrt_p, out=out)
+    mags, signal, slots, slot_mags = (None,) * 4 if out is None else out
     # (re, im) of sqrt(P) total viewed as (..., 2, 1) floats; a 0-d total views only once 1-d
-    signal = np.reshape(sqrt_p * total, np.shape(total) + (1,)).view(float)[..., None]
-    slots = signal + noise
-    return np.add.reduce(np.hypot(slots[..., 0, :], slots[..., 1, :]), axis=-1) / noise.shape[-1]
+    signal = np.multiply(total, sqrt_p, out=signal)[..., None].view(float)[..., None]
+    slots = np.add(signal, noise, out=slots)
+    slot_mags = np.hypot(slots[..., 0, :], slots[..., 1, :], out=slot_mags)
+    return np.divide(np.add.reduce(slot_mags, axis=-1, out=mags), noise.shape[-1], out=mags)
 
 
 def received_magnitude(a, theta, P: float, noise=None) -> np.ndarray:

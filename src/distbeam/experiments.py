@@ -6,11 +6,12 @@ adding trials, n_s points, or thresholds never perturbs existing results. All
 trials of one n_s advance in lockstep through the search kernel, the same one
 :func:`distbeam.search.run_trajectory` runs on a single row, so every
 magnitude is bit-identical to per-trial trajectories, with or without noise.
-Each step's magnitudes stream into a reducer that keeps only the study's
-answer: each alpha's first crossing by the mean (hitting time), each trial's
-first passages (average convergence), or each run's curve up to its eps stop
-(sample paths). The reducer retires trials, and ends the run, as soon as
-their answer is fixed.
+Each kernel block of stored magnitudes streams into a reducer that keeps
+only the study's answer: each alpha's first crossing by the mean (hitting
+time), each trial's first passages (average convergence), or each run's
+curve up to its eps stop (sample paths). The reducer retires trials once
+their answer is fixed, and the study's done test ends the run on the step
+where the whole answer is.
 """
 
 from __future__ import annotations
@@ -229,9 +230,14 @@ def shared_channel_seed_sequence(master_seed: int, n_s: int) -> np.random.SeedSe
 
 # Python objects behind one trial (its generator and channel), about 1.5 kB
 _ROW_OBJECT_BYTES = 2048
-# peak-RSS bytes a budget sample-path run holds, measured with getrusage: each
-# step's row copy is its own array object, and each value is a float in that
-# copy and in the stacked curves, then a line of CSV text
+# peak-RSS bytes per averaging slot and row of a noisy run, measured with
+# getrusage: one step's noise draw (16), its slot values (16) and their
+# magnitudes (8), whether in the initial measurement or in a kernel chunk
+_SLOT_BYTES = 40
+# peak-RSS bytes a budget sample-path run holds, measured with getrusage when
+# each step's row was its own array object; each value is a float in the
+# blocks and in the stacked curves, then a line of CSV text. Kernel blocks
+# carry no per-step object, so these now over-count (167 bytes a step, 1 row)
 _STEP_ROW_BYTES = 192
 _SAMPLE_VALUE_BYTES = 16 + 148
 
@@ -239,31 +245,34 @@ _SAMPLE_VALUE_BYTES = 16 + 148
 def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
                 rows: int | None = None) -> None:
     """Refuse a run of ``rows`` (by default ``config.trials``) up front, before
-    any per-row object exists, when its phasors, per-row objects, slot noise
-    (a noisy step draws 2 floats per averaging slot and row) and the
-    ``held_bytes`` its study keeps alone exceed physical memory."""
+    any per-row object exists, when its phasors, per-row objects, slot
+    buffers and the ``held_bytes`` its study keeps alone exceed physical
+    memory."""
     rows = config.trials if rows is None else rows
     slots = config.averaging_slots if config.sigma2 > 0 else 0
-    need = rows * (16 * (n_s + slots) + _ROW_OBJECT_BYTES) + held_bytes
+    need = rows * (16 * n_s + _SLOT_BYTES * slots + _ROW_OBJECT_BYTES) + held_bytes
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError(f"a run of {rows} rows needs at least {need} bytes")
 
 
 def _run_lockstep(
-    config: ExperimentConfig, n_s: int, horizon: int, reduce: Callable
+    config: ExperimentConfig, n_s: int, horizon: int, reduce: Callable, done: Callable | None = None
 ) -> tuple[np.ndarray, float]:
     """Advance all trials of one n_s in lockstep through the search kernel,
-    calling ``reduce(t, magnitudes, opt_mags)`` at t = 0 and after each of up
-    to ``horizon`` steps. It returns True to stop, or a bool array of the
-    trials it is done with, which leave the batch; the run stops once all
-    have. A stop at t = 0 leaves the batch unstepped.
+    calling ``reduce(t0, block, opt_mags)`` with the initial estimates as a
+    one-step block at t0 = 0, then with each kernel block: a (steps, trials)
+    array of the stored estimates after steps t0, t0 + 1, ... It may return a
+    bool array of the trials it is done with; they leave the batch at the
+    next chunk start, their columns keep their last estimates, and the run
+    stops once all have. The kernel tests ``done`` on the stored estimates of
+    the trials still in the batch, in trial order, and the run stops on the
+    step where it first holds. A stop at t = 0 leaves the batch unstepped.
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
-    order. ``magnitudes`` is one per-trial array, updated in place: a reducer
-    copies what it keeps and reads no entry of a trial it is done with. Returns
-    the per-trial optimal magnitudes and the worst relative telescoping error
-    |Mag[T] - (Mag[0] + sum I)| / Mag[T], T being each trial's last step run.
+    order. Blocks are read-only. Returns the per-trial optimal magnitudes and
+    the worst relative telescoping error |Mag[T] - (Mag[0] + sum I)| / Mag[T],
+    T being each trial's last step run.
     """
     shared = None
     if config.channel_policy == "fixed-across-trials":
@@ -280,21 +289,30 @@ def _run_lockstep(
     batch.live = running = np.ones(config.trials, dtype=bool)
     opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
 
-    def stop(done) -> bool:
-        if isinstance(done, np.ndarray):
-            running[done] = False
-            batch.live, done = running[batch.rows], not running.any()
-        return bool(done)
+    def stop(gone) -> bool:
+        if gone is None:
+            return False
+        running[gone] = False
+        batch.live = running[batch.rows]
+        return not running.any()
 
     initial = batch.cur.copy()
     last = initial.copy()
     inc_sum = np.zeros(config.trials)
-    if not stop(reduce(0, last, opt_mags)):
-        for _ in _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs):
+    if not stop(reduce(0, initial[None], opt_mags)):
+        for block in _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs,
+                               done):
             rows = batch.rows if len(batch.rows) < config.trials else slice(None)
-            inc_sum[rows] += batch.cur - last[rows]  # the step's increments, 0 on discard
-            last[rows] = batch.cur
-            if stop(reduce(batch.t, last, opt_mags)):
+            # each step's increments (0 on discard), added to the running sum in step order
+            incs = np.diff(block, axis=0, prepend=last[rows][None])
+            incs[0] += inc_sum[rows]
+            inc_sum[rows] = np.add.accumulate(incs, axis=0)[-1]
+            last[rows] = block[-1]
+            if isinstance(rows, np.ndarray):  # retired trials keep their last estimates
+                full = np.repeat(last[None], len(block), axis=0)
+                full[:, rows] = block
+                block = full
+            if stop(reduce(batch.t - len(block) + 1, block, opt_mags)):
                 break
 
     dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
@@ -316,19 +334,28 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
     held = (horizon + 1) * (_STEP_ROW_BYTES + config.trials * _SAMPLE_VALUE_BYTES)
     _check_fits(config, n_s, 0 if config.eps is not None else held)
     eps = config.eps
-    steps = []
+    blocks = []
+    bounds = None  # opt - eps of the runs still in the batch
 
-    def record(t, cur, opt):
-        steps.append(cur.copy())
-        return eps is not None and cur > opt - eps
+    def record(t0, block, opt):
+        nonlocal bounds
+        blocks.append(block)
+        if eps is None:
+            return None
+        inside = block[-1] > opt - eps
+        bounds = (opt - eps)[~inside]
+        return inside
 
-    opt_mags, _ = _run_lockstep(config, n_s, horizon, record)
-    mags = np.array(steps)  # (steps run + 1, trials)
+    def all_inside(cur):
+        return (cur > bounds).all()
+
+    opt_mags, _ = _run_lockstep(config, n_s, horizon, record, None if eps is None else all_inside)
+    mags = np.concatenate(blocks)  # (steps run + 1, trials)
     if eps is None:
         return list(mags.T), None
     inside = mags > opt_mags - eps
     reached = inside.any(axis=0)
-    ends = np.where(reached, inside.argmax(axis=0), len(steps) - 1)
+    ends = np.where(reached, inside.argmax(axis=0), len(mags) - 1)
     return [mags[: end + 1, k] for k, end in enumerate(ends)], reached
 
 
@@ -381,20 +408,26 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
         _check_fits(config, n_s)
         crossed = {}  # alpha -> the first step the mean reaches its threshold
         pending = []  # (threshold, alpha) not yet reached, the lowest last
+        top = math.inf  # the largest alpha's threshold
 
-        def cross(t, cur, opt):
-            if t == 0:
+        def cross(t0, block, opt):
+            nonlocal top
+            if t0 == 0:
                 mean_opt = float(opt.mean())
                 pending.extend(sorted(((a * mean_opt, a) for a in config.alpha), reverse=True))
-            # summed in trial order, as the recorded CSVs were; cur.sum() rounds differently
-            mean = np.add.accumulate(cur)[-1] / config.trials
+                top = pending[0][0]
+            # summed in trial order, as the recorded CSVs were; block.sum(axis=1) rounds differently
+            means = np.add.accumulate(block, axis=1)[:, -1] / config.trials
             # stored estimates never decrease, so neither does the mean: only
-            # the lowest pending threshold can be newly reached
-            while pending and mean >= pending[-1][0]:
-                crossed[pending.pop()[1]] = t
-            return not pending
+            # the lowest pending threshold can be reached next
+            while pending and means[-1] >= pending[-1][0]:
+                threshold, alpha = pending.pop()
+                crossed[alpha] = t0 + int(np.argmax(means >= threshold))
 
-        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), cross)
+        def all_crossed(cur):  # the mean, as cross sums it, reaches the top threshold
+            return np.add.accumulate(cur)[-1] / config.trials >= top
+
+        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), cross, all_crossed)
         per_ns.append((n_s, crossed))
         max_dev = max(max_dev, dev)
 
@@ -438,19 +471,26 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     for n_s in config.n_s_values:
         _check_fits(config, n_s)
         first = np.full((len(config.alpha), config.trials), -1)
-        pending = np.empty(first.shape)  # thresholds not yet reached, inf once reached
+        goals = np.empty(first.shape)  # each alpha's threshold for each trial
+        below = None  # the top-alpha goals of the trials still in the batch
 
-        def first_passage(t, cur, opt):
-            if t == 0:
-                np.multiply(alphas, opt, out=pending)
-            hit = cur >= pending
-            if hit.any():
-                first[hit] = t
-                pending[hit] = np.inf
-            # estimates never decrease, so a trial's top-alpha crossing is its last
-            return pending[top] == np.inf
+        def first_passage(t0, block, opt):
+            nonlocal below
+            if t0 == 0:
+                np.multiply(alphas, opt, out=goals)
+            hit = block[:, None, :] >= goals  # (steps, alphas, trials)
+            # estimates never decrease, so a goal hit in the block is hit at its end
+            new = hit[-1] & (first < 0)
+            first[new] = t0 + hit.argmax(axis=0)[new]
+            # a trial's top-alpha crossing is its last
+            gone = first[top] >= 0
+            below = goals[top][~gone]
+            return gone
 
-        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), first_passage)
+        def all_crossed(cur):
+            return (cur >= below).all()
+
+        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), first_passage, all_crossed)
         per_ns.append((n_s, first))
         max_dev = max(max_dev, dev)
 

@@ -1,9 +1,9 @@
 """Local random search with one-bit keep/discard feedback.
 
-The generic loop: sample a perturbation from a local measure, evaluate the
-received magnitude at the perturbed phases, and let a decision map accept
-only non-degrading moves. The canonical instance accepts exactly when the
-proposed magnitude strictly exceeds the current one (ties discard).
+The loop: sample a perturbation from a local measure, measure the received
+magnitude at the perturbed phases, and keep the move exactly when the
+proposed magnitude strictly exceeds the stored one (ties discard). That one
+keep rule never lets the stored magnitude fall.
 
 One lockstep kernel, :func:`_lockstep`, runs this loop on a (trials, n_s)
 batch. A single step, a trajectory (one row) and the experiment engine (one
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,10 +32,6 @@ from .channel import (
 
 _CHUNK = 256  # most steps whose perturbations one generator call draws
 _CHUNK_VALUES = 1 << 17  # most random values one chunk draws across all rows
-
-
-class DecisionMapViolation(RuntimeError):
-    """A custom decision map accepted a magnitude-decreasing move."""
 
 
 @dataclass(frozen=True)
@@ -175,9 +170,11 @@ def sample_perturbation(
 @dataclass
 class _Batch:
     """Lockstep state of independent searches, one row per trial: the
-    accepted phases (reduced to [0, 2pi) at chunk starts, or None), their
-    phasors, the stored magnitude estimates and the steps taken; with
-    ``live`` set, also the caller's index of each row and which rows stay."""
+    amplitudes, the accepted phases or None, their phasors, the stored
+    magnitude estimates and the steps taken; with ``live`` set, also the
+    caller's index of each row and which rows stay. ``theta`` holds the
+    accepted phases after each step of the last block, (steps, rows, n_s);
+    before the first block, the initial phases as one step."""
 
     amps: np.ndarray
     theta: np.ndarray | None
@@ -213,31 +210,29 @@ def _start(channels, init_mode, power: PowerConfig, rngs):
     amps = np.stack([ch.a for ch in channels])
     w = phasors(amps, theta)
     cur = coherent_magnitude(w.sum(axis=1), power.P, _noise(noise_rngs, power, 1)[0])
-    return _Batch(amps, theta, w, cur), noise_rngs
+    return _Batch(amps, theta[None], w, cur), noise_rngs
 
 
-def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, accept=None):
-    """Advance ``batch`` in place by propose -> measure -> accept. Each step
-    yields its keep mask; a step's increments are the changes of
-    ``batch.cur`` (0 on discard).
+def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, done=None):
+    """Advance ``batch`` in place by propose -> measure -> keep, one chunk of
+    steps at a time. Each chunk yields a (steps, rows) block: the stored
+    estimates after each of its steps.
 
     Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]``,
     measures the proposal with slot noise from ``noise_rngs[k]``, and keeps
-    the move when ``accept(current, proposed)`` holds. Without a predicate it
-    keeps exactly when the proposed estimate strictly exceeds the stored one.
-    Steps run up to ``max_steps``; a caller that is done earlier stops
-    iterating, and one done with some rows clears their ``batch.live`` entries:
-    they leave with their streams at the next chunk start.
+    the move exactly when the proposed estimate strictly exceeds the stored
+    one; so a row's stored estimate rises exactly on a keep. Steps run up to
+    ``max_steps``. ``done(cur)``, when given, is tested on the stored
+    estimates at each chunk start and after every step: once it holds the
+    block ends there, and the generator returns. A caller done with some rows
+    clears their ``batch.live`` entries: they leave with their streams at the
+    next chunk start.
 
     A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
-    rows; chunking leaves the streams as they are. Each row's uniform draws
-    land in one chunk buffer, mapped to [-delta0, delta0] in one pass as
-    ``Generator.uniform`` maps them. Proposed phasors are the stored ones
-    times e^{j(delta_i - delta_r)}.
+    rows; chunking leaves the streams as they are.
     """
     n_s = batch.w.shape[1]
     slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
-    d0 = spec.delta0
     while batch.t < max_steps:
         if batch.live is not None and not batch.live.all():
             stay = batch.live
@@ -245,41 +240,69 @@ def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, acce
             noise_rngs = noise_rngs and [rng for rng, s in zip(noise_rngs, stay) if s]
             batch.amps, batch.w, batch.cur, batch.rows, batch.live = (
                 a[stay] for a in (batch.amps, batch.w, batch.cur, batch.rows, stay))
-            batch.theta = None if batch.theta is None else batch.theta[stay]
+            batch.theta = None if batch.theta is None else batch.theta[:, stay]
+        if done is not None and done(batch.cur):
+            return
         size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(rngs) * (n_s + slots))),
                    max_steps - batch.t)
-        deltas = np.empty((len(rngs), size, n_s))
-        for rng, row in zip(rngs, deltas):
-            rng.random(out=row)
-        deltas *= d0 - (-d0)
-        deltas += -d0
-        deltas = deltas.swapaxes(0, 1)
-        turns = rotations(batch.amps, deltas)
-        noise = _noise(noise_rngs, power, size)
-        proposed = np.empty_like(batch.w)
-        if batch.theta is not None:
-            batch.theta = canonical_phases(batch.theta)
-        for i in range(size):
-            np.multiply(batch.w, turns[i], out=proposed)
-            pm = coherent_magnitude(proposed.sum(axis=1), power.P, noise[i])
-            cur = batch.cur
-            if accept is None:
-                keep = pm > cur
-            else:
-                keep = np.array([bool(accept(c, p)) for c, p in zip(cur.tolist(), pm.tolist())])
-                worse = keep & (pm < cur)
-                if power.sigma2 == 0.0 and worse.any():
-                    r = int(np.argmax(worse))
-                    raise DecisionMapViolation(
-                        f"decision map accepted a decrease at step {batch.t + 1}: "
-                        f"{cur[r].item()!r} -> {pm[r].item()!r}"
-                    )
-            np.copyto(batch.w, proposed, where=keep[:, None])
-            if batch.theta is not None:
-                np.add(batch.theta, deltas[i], out=batch.theta, where=keep[:, None])
-            np.copyto(cur, pm, where=keep)
-            batch.t += 1
-            yield keep
+        block = _chunk(batch, spec, power, size, rngs, noise_rngs, done)
+        yield block
+        if len(block) < size:
+            return
+
+
+def _chunk(batch: _Batch, spec, power, size: int, rngs, noise_rngs, done) -> np.ndarray:
+    """Run up to ``size`` steps of :func:`_lockstep` on ``batch``, ending
+    after the first step where ``done`` holds; returns their block.
+
+    Each row's uniform draws land in one chunk buffer, mapped to
+    [-delta0, delta0] in one pass as ``Generator.uniform`` maps them.
+    Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}. A
+    step is a fixed set of ufunc calls into buffers allocated here and freed
+    on return, before the next chunk allocates its own. Tracked phases are
+    summed once, in step order, from the kept draws.
+    """
+    rows, n_s = batch.w.shape
+    d0, k = spec.delta0, power.averaging_slots
+    deltas = np.empty((rows, size, n_s))
+    for rng, row in zip(rngs, deltas):
+        rng.random(out=row)
+    deltas *= d0 - (-d0)
+    deltas += -d0
+    deltas = deltas.swapaxes(0, 1)
+    turns = rotations(batch.amps, deltas)
+    noise = _noise(noise_rngs, power, size)
+    block = np.empty((size, rows))
+    proposed = np.empty_like(batch.w)
+    total = np.empty(rows, dtype=complex)
+    pm = np.empty(rows)
+    out = pm if power.sigma2 == 0.0 else (pm, np.empty_like(total), np.empty((rows, 2, k)),
+                                          np.empty((rows, k)))
+    keep = np.empty(rows, dtype=bool)
+    keep_col = keep[:, None]
+    start = cur = batch.cur
+    steps = size
+    w, P = batch.w, power.P
+    for i, (turn, slot_noise, row) in enumerate(zip(turns, noise, block)):
+        np.multiply(w, turn, out=proposed)
+        np.add.reduce(proposed, axis=1, out=total)
+        coherent_magnitude(total, P, slot_noise, out)
+        np.greater(pm, cur, out=keep)
+        np.copyto(w, proposed, where=keep_col)
+        cur = np.maximum(cur, pm, out=row)
+        if done is not None and done(cur):
+            steps = i + 1
+            break
+    block = block[:steps]
+    if batch.theta is not None:
+        # a discard adds +-0, which leaves a phase as it is
+        path = deltas[:steps]
+        path *= (block > np.concatenate((start[None], block[:-1])))[..., None]
+        path[0] += canonical_phases(batch.theta[-1])
+        batch.theta = np.add.accumulate(path, axis=0, out=path)
+    batch.t += steps
+    batch.cur = cur
+    return block
 
 
 def one_bit_step(
@@ -289,7 +312,7 @@ def one_bit_step(
     power: PowerConfig,
     rng: SeedLike = None,
 ) -> tuple[SearchState, bool, float]:
-    """One slot of the one-bit scheme, run as one kernel step on a single row.
+    """One slot of the one-bit scheme, run as a one-step kernel block on a single row.
 
     Perturb, measure, and keep exactly when the proposed magnitude strictly
     exceeds the stored magnitude of the last accepted point; ties and losses
@@ -298,13 +321,13 @@ def one_bit_step(
     and the magnitude increment (0 on discard).
     """
     rng = np.random.default_rng(rng)
-    amps, theta = channel.a[None], state.theta[None].copy()
-    batch = _Batch(amps, theta, phasors(amps, theta), np.array([state.current_mag]),
-                   state.step_index)
-    keep = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng]))
-    if keep[0]:
-        new_state = SearchState(canonical_phases(batch.theta[0]), float(batch.cur[0]), batch.t)
-        return new_state, True, float(batch.cur[0] - state.current_mag)
+    amps = channel.a[None]
+    batch = _Batch(amps, state.theta[None, None], phasors(amps, state.theta[None]),
+                   np.array([state.current_mag]), state.step_index)
+    mag = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng]))[0, 0]
+    if mag > state.current_mag:  # the stored estimate rose: the move was kept
+        new_state = SearchState(canonical_phases(batch.theta[-1, 0]), float(mag), batch.t)
+        return new_state, True, float(mag - state.current_mag)
     return SearchState(state.theta, state.current_mag, batch.t), False, 0.0
 
 
@@ -315,18 +338,16 @@ def run_trajectory(
     init_mode,
     stop: StopRule,
     seed: SeedLike = None,
-    accept: Callable[[float, float], bool] | None = None,
     record_thetas: bool = True,
 ) -> Trajectory:
     """Run the search until the stop rule fires or the step budget runs out.
 
-    This is the lockstep kernel on a single row. ``accept(current, proposed)``
-    is the decision map; without one a move is kept exactly when the proposed
-    magnitude strictly exceeds the stored one, as in :func:`one_bit_step`.
-    The framework requires accepted moves never to decrease the objective, so
-    in noiseless mode a predicate that accepts a decrease raises
-    :class:`DecisionMapViolation`. Measurement noise comes from a child stream
-    spawned from the seed, perturbations from the seed's own stream.
+    This is the lockstep kernel on a single row, with the stop rule's
+    threshold as its ``done`` test: a move is kept exactly when the proposed
+    magnitude strictly exceeds the stored one, as in :func:`one_bit_step`, so
+    ``bits`` marks the steps where the stored magnitude rose. Measurement
+    noise comes from a child stream spawned from the seed, perturbations from
+    the seed's own stream.
 
     The threshold (if any) is also checked at t=0, so an initial point already
     past it yields a zero-step trajectory. Exhausting the budget without
@@ -335,33 +356,29 @@ def run_trajectory(
     """
     rng = np.random.default_rng(seed)
     batch, noise_rngs = _start([channel], init_mode, power, [rng])
-    initial_theta = batch.theta[0].copy()
+    initial_theta = batch.theta[0, 0].copy()
     initial_mag = float(batch.cur[0])
     opt = optimal_magnitude(channel, power.P)
+    done = None
+    if stop.eps is not None or stop.alpha is not None:
+        def done(cur):
+            return stop.met(float(cur[0]), opt)
 
-    bits, mags, thetas = [], [], []
-    if not stop.met(initial_mag, opt):
-        for keep in _lockstep(batch, spec, power, stop.max_steps, [rng], noise_rngs, accept):
-            bits.append(keep[0])
-            mags.append(batch.cur[0])
-            if record_thetas:
-                thetas.append(canonical_phases(batch.theta[0]))
-            if stop.met(float(batch.cur[0]), opt):
-                break
-
-    n = len(bits)
-    mags = np.asarray(mags, dtype=float)
+    mags, thetas = [np.empty(0)], [np.empty((0, channel.n_s))]
+    for block in _lockstep(batch, spec, power, stop.max_steps, [rng], noise_rngs, done):
+        mags.append(block[:, 0])
+        if record_thetas:
+            thetas.append(canonical_phases(batch.theta[:, 0]))
+    mags = np.concatenate(mags)
+    increments = np.diff(mags, prepend=initial_mag)
     return Trajectory(
         power=power,
         initial_theta=initial_theta,
         initial_mag=initial_mag,
-        final_theta=canonical_phases(batch.theta[0]),
-        bits=np.asarray(bits, dtype=bool),
+        final_theta=canonical_phases(batch.theta[-1, 0]),
+        bits=increments > 0,
         mags=mags,
-        increments=np.diff(mags, prepend=initial_mag),
+        increments=increments,
         converged=stop.met(float(batch.cur[0]), opt),
-        thetas=np.asarray(thetas, dtype=float).reshape(n, channel.n_s)
-        if record_thetas
-        else None,
+        thetas=np.concatenate(thetas) if record_thetas else None,
     )
-

@@ -194,11 +194,16 @@ def test_out_of_memory_names_only_the_sizes_the_run_reads(argv, sizes, tmp_path,
     assert capsys.readouterr().err == f"error: out of memory at {sizes}\n"
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-def test_noisy_runs_count_their_slot_noise(kind, tmp_path, monkeypatch, capsys):
-    # one step's slot noise for the two rows takes twice physical memory; the
-    # run is refused before it starts stepping
-    slots = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 16
+@pytest.mark.parametrize(
+    "kind,slot_bytes",
+    [pytest.param(kind, 16, id=kind) for kind in EXPERIMENT_KINDS]
+    # a step's slot values and their magnitudes count beside its noise draw
+    + [pytest.param("hitting-time", 40, id="hitting-time-slot-buffers")],
+)
+def test_noisy_runs_count_their_slot_noise(kind, slot_bytes, tmp_path, monkeypatch, capsys):
+    # one step's slot_bytes per averaging slot for the two rows take twice
+    # physical memory; the run is refused before it starts stepping
+    slots = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // slot_bytes
     monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
     rc = parse_and_dispatch(
         [kind, "--n-s", "2", "--trials", "2", "--sigma2", "0.1", "--averaging-slots", str(slots),

@@ -251,12 +251,10 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
 
 
 def lockstep_curves(cfg, n_s, horizon):
-    """The engine's per-trial curves, collected through its reducer hook."""
-    steps = []
-    opt_mags, _ = _run_lockstep(
-        cfg, n_s, horizon, lambda t, cur, opt: steps.append(cur.copy())
-    )
-    return np.array(steps).T, opt_mags
+    """The engine's per-trial curves, collected through its block reducer."""
+    blocks = []
+    opt_mags, _ = _run_lockstep(cfg, n_s, horizon, lambda t0, block, opt: blocks.append(block))
+    return np.concatenate(blocks).T, opt_mags
 
 
 @pytest.mark.parametrize(
@@ -332,26 +330,33 @@ def test_engine_first_passages_match_sequential_alpha_stop():
 
 @pytest.mark.parametrize("k", [0, 1, 37])
 def test_driver_stops_when_the_reducer_says_so(monkeypatch, k):
+    # the 50 steps are one chunk: the kernel tests done at its start and after
+    # each step, and the run stops on the step where done first holds
     cfg = small_config(trials=3)
     full, _ = lockstep_curves(cfg, 6, 50)
     stepped = []
 
     def counting(batch, *args):
-        for step in _lockstep(batch, *args):
-            stepped.append(batch.t)
-            yield step
+        for block in _lockstep(batch, *args):
+            stepped.extend(range(batch.t - len(block) + 1, batch.t + 1))
+            yield block
 
     monkeypatch.setattr(experiments, "_lockstep", counting)
-    seen = []
+    seen, tested = [], []
 
-    def reduce(t, cur, opt):
-        seen.append((t, cur.copy()))
-        return t == k
+    def reduce(t0, block, opt):
+        seen.extend((t0 + i, cur.copy()) for i, cur in enumerate(block))
 
-    _run_lockstep(cfg, 6, 50, reduce)
+    def done(cur):
+        tested.append(cur.copy())
+        return len(tested) == k + 1
+
+    _run_lockstep(cfg, 6, 50, reduce, done)
     assert [t for t, _ in seen] == list(range(k + 1))
     assert stepped == list(range(1, k + 1))
     for t, cur in seen:
+        assert np.array_equal(cur, full[:, t])
+    for t, cur in enumerate(tested):
         assert np.array_equal(cur, full[:, t])
 
 
@@ -359,13 +364,18 @@ def test_a_trial_the_reducer_is_done_with_keeps_its_magnitude():
     cfg = small_config(trials=4)
     full, _ = lockstep_curves(cfg, 6, 60)
     done_at = np.array([0, 10, 25, 40])  # the step after which the reducer is done with each trial
-    seen = []
+    seen, tested = [], []
 
-    def reduce(t, cur, opt):
-        seen.append(cur.copy())
-        return t >= done_at
+    def reduce(t0, block, opt):
+        seen.extend(block.copy())
+        return t0 + len(block) - 1 >= done_at
 
-    _run_lockstep(cfg, 6, 60, reduce)
+    def done(cur):  # tested at the start of the one 60-step chunk and after each step
+        tested.append(len(cur))
+        return len(tested) == done_at.max() + 1
+
+    _run_lockstep(cfg, 6, 60, reduce, done)
+    assert tested == [3] * (done_at.max() + 1)
     # the run stops once every trial is done
     assert len(seen) == done_at.max() + 1
     # rows leave at chunk starts: trial 0, done at t = 0, before the first step;
@@ -383,12 +393,12 @@ def test_avg_convergence_trials_leave_the_batch_after_their_crossings(monkeypatc
         kind="avg-convergence", n_s_values=(16,), trials=40, alpha=(0.5, 0.9),
         sigma2=sigma2, averaging_slots=2,
     )
-    rows = []
+    rows = []  # the rows of each step run
 
     def counting(batch, *args):
-        for step in _lockstep(batch, *args):
-            rows.append(len(step))
-            yield step
+        for block in _lockstep(batch, *args):
+            rows.extend([block.shape[1]] * len(block))
+            yield block
 
     monkeypatch.setattr(experiments, "_lockstep", counting)
     point = run_avg_convergence_sweep(cfg)[-1].points[0]
@@ -563,9 +573,9 @@ def test_hitting_time_stops_at_the_top_alpha_crossing(monkeypatch, sigma2, horiz
 
     def counting(batch, *args):
         stepped.append(0)
-        for step in _lockstep(batch, *args):
-            stepped[-1] += 1
-            yield step
+        for block in _lockstep(batch, *args):
+            stepped[-1] += len(block)
+            yield block
 
     monkeypatch.setattr(experiments, "_lockstep", counting)
     results = run_hitting_time_sweep(cfg)

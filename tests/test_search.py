@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from distbeam import (
     TWO_PI,
     ChannelRealization,
-    DecisionMapViolation,
     PerturbationSpec,
     PowerConfig,
     StopRule,
@@ -20,6 +19,8 @@ from distbeam import (
     run_trajectory,
     sample_perturbation,
 )
+from distbeam.channel import coherent_magnitude, phasors, rotations
+from distbeam.search import _lockstep, _start
 
 POWER = PowerConfig()
 
@@ -304,45 +305,21 @@ def test_stop_rule_validation():
         StopRule(10, eps=0.0)
 
 
-def test_strict_greater_predicate_reproduces_one_bit_step():
-    ch = generate_channel(6, np.random.default_rng(8))
-    spec = PerturbationSpec(delta0=math.pi / 30)
-    via_custom = run_trajectory(
-        ch, spec, POWER, "zero", StopRule.steps(250), seed=17,
-        accept=lambda cur, prop: prop > cur,
-    )
-    via_default = run_trajectory(
-        ch, spec, POWER, "zero", StopRule.steps(250), seed=17,
-    )
-    assert np.array_equal(via_custom.mags, via_default.mags)
-    assert np.array_equal(via_custom.bits, via_default.bits)
-    assert not via_default.bits.all()  # discards happen, so proposals matter
-    assert np.array_equal(via_custom.thetas, via_default.thetas)
-
-
-def test_greater_or_equal_predicate_is_monotone_safe():
-    ch = ChannelRealization(a=[2.0], phi=[1.0])  # all proposals tie
-    traj = run_trajectory(
-        ch, PerturbationSpec(delta0=0.2), POWER, "zero", StopRule.steps(50),
-        seed=0, accept=lambda cur, prop: prop >= cur,
-    )
-    assert np.all(traj.bits)
-    assert np.all(np.diff(traj.magnitudes()) == 0)
-
-
 @pytest.mark.parametrize("delta0", [0.2, math.pi / 90, math.pi], ids=["0.2", "pi/90", "pi"])
 @pytest.mark.parametrize("amps", [[2.0], [0.0, 2.0], [2.0, 0.0]], ids=["2", "0,2", "2,0"])
 def test_one_nonzero_transmitter_ties_exactly(amps, delta0):
     # the strongest transmitter is the phasor frame's reference, so every
     # proposal measures exactly the initial magnitude
     ch = ChannelRealization(a=amps, phi=[1.0] * len(amps))
+    r = int(np.argmax(ch.a))
+    theta = np.random.default_rng(3).uniform(0.0, TWO_PI, (50, ch.n_s))
+    turns = rotations(ch.a, theta)
+    assert np.all(turns[:, r] == 1 + 0j)
+    assert np.all(phasors(ch.a, theta)[:, r] == ch.a[r] + 0j)
     spec, stop = PerturbationSpec(delta0=delta0), StopRule.steps(2000)
     strict = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3, record_thetas=False)
     assert not strict.bits.any()
-    ge = run_trajectory(ch, spec, POWER, "uniform", stop, seed=3,
-                        accept=lambda cur, prop: prop >= cur, record_thetas=False)
-    assert ge.bits.all()
-    assert np.all(ge.magnitudes() == ge.initial_mag)
+    assert np.all(strict.magnitudes() == strict.initial_mag)
 
 
 @pytest.mark.parametrize("delta0", [math.pi / 90, math.pi / 30, math.pi],
@@ -360,13 +337,57 @@ def test_kernel_magnitudes_match_direct_formula(n_s, delta0):
     assert np.array_equal(traj.final_theta, traj.thetas[-1])
 
 
-def test_always_accept_violates_contract():
-    ch = generate_channel(4, np.random.default_rng(5))
-    with pytest.raises(DecisionMapViolation, match="accepted a decrease"):
-        run_trajectory(
-            ch, PerturbationSpec(delta0=math.pi / 8), POWER, "uniform",
-            StopRule.steps(200), seed=1, accept=lambda cur, prop: True,
-        )
+def _batch(n_s, rows, power, seed):
+    """A kernel batch of ``rows`` uniform starts on their own channels, with its streams."""
+    rngs = [np.random.default_rng([seed, j]) for j in range(rows)]
+    channels = [generate_channel(n_s, rng) for rng in rngs]
+    batch, noise_rngs = _start(channels, "uniform", power, rngs)
+    return batch, rngs, noise_rngs
+
+
+@pytest.mark.parametrize("target", [1, 255, 256, 257, 520])
+def test_a_block_ends_on_the_step_where_done_first_holds(target):
+    # eight rows of n_s = 16 step in 256-step chunks, and their mean rises at
+    # each target step k, so done holds from step k on and never before it
+    spec, power, horizon, k = PerturbationSpec(delta0=math.pi / 30), POWER, 600, target
+    batch, rngs, noise_rngs = _batch(16, 8, power, 1)
+    curve = np.concatenate([batch.cur[None]] + list(
+        _lockstep(batch, spec, power, horizon, rngs, noise_rngs)))
+    means = curve.mean(axis=1)
+    assert means[k] > means[k - 1]
+
+    batch, rngs, noise_rngs = _batch(16, 8, power, 1)
+    run = _lockstep(batch, spec, power, horizon, rngs, noise_rngs,
+                    lambda cur: cur.mean() >= means[k])
+    blocks = list(run)  # the generator returns after the block that ends at step k
+    assert [len(b) for b in blocks] == [256] * (k // 256) + ([k % 256] if k % 256 else [])
+    assert batch.t == k
+    assert np.array_equal(np.concatenate(blocks), curve[1:k + 1])
+    assert next(run, None) is None
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_kernel_noisy_estimates_match_coherent_magnitude(k):
+    # the kernel measures through coherent_magnitude's out= buffers; a step at a
+    # time through its allocating form, on the same draws, gives the same bits
+    spec, steps = PerturbationSpec(delta0=math.pi / 30), 40
+    power = PowerConfig(P=2.5, sigma2=0.05, averaging_slots=k)
+    batch, rngs, noise_rngs = _batch(5, 3, power, 11)
+    blocks = list(_lockstep(batch, spec, power, steps, rngs, noise_rngs))
+    assert len(blocks) == 1  # one chunk: each row's perturbations, then its slot noise
+    ref, rngs, noise_rngs = _batch(5, 3, power, 11)
+    deltas = np.stack([rng.uniform(-spec.delta0, spec.delta0, (steps, 5)) for rng in rngs], axis=1)
+    noise = math.sqrt(power.sigma2 / 2) * np.stack(
+        [rng.standard_normal((steps, 2, k)) for rng in noise_rngs], axis=1)
+    w, cur, kept = ref.w, ref.cur, 0
+    for t in range(steps):
+        proposed = w * rotations(ref.amps, deltas[t])
+        pm = coherent_magnitude(proposed.sum(axis=1), power.P, noise[t])
+        keep = pm > cur
+        w, cur = np.where(keep[:, None], proposed, w), np.where(keep, pm, cur)
+        kept += keep.sum()
+        assert np.array_equal(blocks[0][t], cur)
+    assert 0 < kept < 3 * steps
 
 
 def test_batched_uniform_draws_match_sequential():
