@@ -6,17 +6,18 @@ adding trials, n_s points, or thresholds never perturbs existing results. All
 trials of one n_s advance in lockstep through the search kernel, the same one
 :func:`distbeam.search.run_trajectory` runs on a single row, so every
 magnitude is bit-identical to per-trial trajectories, with or without noise.
-Each kernel block of stored magnitudes streams into a reducer that keeps
-only the study's answer: each alpha's first crossing by the mean (hitting
-time), each trial's first passages (average convergence), or each run's
-curve up to its eps stop (sample paths). The reducer retires trials once
-their answer is fixed, and the study's done test ends the run on the step
-where the whole answer is.
+Each study declares its goals, thresholds on a value that never decreases:
+alpha times the mean optimum for the trial-order mean (hitting time), alpha
+times each trial's optimum for its stored estimate (average convergence), or
+each run's eps region (sample paths). One driver finds every first passage
+in the kernel's blocks, retires a trial once it reaches its highest goal and
+stops the run on the step where every watched value has.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -234,12 +235,12 @@ _ROW_OBJECT_BYTES = 2048
 # getrusage: one step's noise draw (16), its slot values (16) and their
 # magnitudes (8), whether in the initial measurement or in a kernel chunk
 _SLOT_BYTES = 40
-# peak-RSS bytes a budget sample-path run holds, measured with getrusage when
-# each step's row was its own array object; each value is a float in the
-# blocks and in the stacked curves, then a line of CSV text. Kernel blocks
-# carry no per-step object, so these now over-count (167 bytes a step, 1 row)
-_STEP_ROW_BYTES = 192
-_SAMPLE_VALUE_BYTES = 16 + 148
+# peak-RSS bytes per stored value of a budget sample-path run: its float in
+# the blocks and in the stacked curves, then a line of CSV text. Measured with
+# getrusage at 1 and 3 trials and 100k to 1M steps: 159-161 bytes a value
+# between two horizons, at most 166 over the whole run from 300k values on,
+# and no per-step cost beside the values
+_SAMPLE_VALUE_BYTES = 168
 
 
 def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
@@ -256,23 +257,27 @@ def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
 
 
 def _run_lockstep(
-    config: ExperimentConfig, n_s: int, horizon: int, reduce: Callable, done: Callable | None = None
+    config: ExperimentConfig, n_s: int, horizon: int, goals: Callable, blocks: list | None = None
 ) -> tuple[np.ndarray, float]:
-    """Advance all trials of one n_s in lockstep through the search kernel,
-    calling ``reduce(t0, block, opt_mags)`` with the initial estimates as a
-    one-step block at t0 = 0, then with each kernel block: a (steps, trials)
-    array of the stored estimates after steps t0, t0 + 1, ... It may return a
-    bool array of the trials it is done with; they leave the batch at the
-    next chunk start, their columns keep their last estimates, and the run
-    stops once all have. The kernel tests ``done`` on the stored estimates of
-    the trials still in the batch, in trial order, and the run stops on the
-    step where it first holds. A stop at t = 0 leaves the batch unstepped.
+    """Advance all trials of one n_s in lockstep through the search kernel
+    and find when the values it watches first reach their goals.
+
+    ``goals(opt_mags)`` takes the trials' optimal magnitudes and returns the
+    thresholds: a (g, trials) array watches each trial's stored estimate, a
+    (g, 1) array their mean, summed in trial order (with one trial the two
+    are the same). Stored estimates never decrease, so neither does a watched
+    value: a trial leaves the batch at the next chunk start once its value
+    reaches its highest goal, its column keeping its last estimate, and the
+    run stops on the step where every value has. A stop at t = 0 leaves the
+    batch unstepped; a +inf goal runs to ``horizon``. ``blocks``, when given,
+    collects the (steps, trials) blocks of stored estimates from t = 0.
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
-    order. Blocks are read-only. Returns the per-trial optimal magnitudes and
-    the worst relative telescoping error |Mag[T] - (Mag[0] + sum I)| / Mag[T],
-    T being each trial's last step run.
+    order. Returns the first step each value reaches each goal at (-1 if it
+    never does), shaped as the goals, and the worst relative telescoping
+    error |Mag[T] - (Mag[0] + sum I)| / Mag[T], T being each trial's last
+    step run.
     """
     shared = None
     if config.channel_policy == "fixed-across-trials":
@@ -285,38 +290,54 @@ def _run_lockstep(
     channels = [shared if shared is not None else generate_channel(n_s, rng) for rng in rngs]
     power = config.power()
     batch, noise_rngs = _start(channels, config.init_mode, power, rngs)
-    batch.theta, batch.rows = None, np.arange(config.trials)  # no reducer reads phases
-    batch.live = running = np.ones(config.trials, dtype=bool)
-    opt_mags = math.sqrt(config.P) * batch.amps.sum(axis=1)
+    batch.theta, batch.rows = None, np.arange(config.trials)  # no study reads phases
+    goal = np.asarray(goals(math.sqrt(config.P) * batch.amps.sum(axis=1)), dtype=float)
+    first = np.full(goal.shape, -1)
+    top = goal.max(axis=0)
+    per_trial = goal.shape[1] > 1
+    # the kernel tests done after every step, so each is one expression
+    if per_trial:
+        top_live = top  # the highest goals of the trials in the batch
 
-    def stop(gone) -> bool:
-        if gone is None:
-            return False
-        running[gone] = False
-        batch.live = running[batch.rows]
-        return not running.any()
+        def done(cur):
+            return (cur >= top_live).all()
+    else:
+        top_mean = float(top[0])
+
+        def done(cur):  # summed in trial order, as the recorded CSVs were
+            return np.add.accumulate(cur)[-1] / config.trials >= top_mean
 
     initial = batch.cur.copy()
     last = initial.copy()
     inc_sum = np.zeros(config.trials)
-    if not stop(reduce(0, initial[None], opt_mags)):
-        for block in _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs,
-                               done):
-            rows = batch.rows if len(batch.rows) < config.trials else slice(None)
-            # each step's increments (0 on discard), added to the running sum in step order
-            incs = np.diff(block, axis=0, prepend=last[rows][None])
-            incs[0] += inc_sum[rows]
-            inc_sum[rows] = np.add.accumulate(incs, axis=0)[-1]
-            last[rows] = block[-1]
-            if isinstance(rows, np.ndarray):  # retired trials keep their last estimates
-                full = np.repeat(last[None], len(block), axis=0)
-                full[:, rows] = block
-                block = full
-            if stop(reduce(batch.t - len(block) + 1, block, opt_mags)):
-                break
+    chunks = _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs,
+                       None if np.isinf(top).all() else done)
+    for block in itertools.chain([initial[None]], chunks):  # t = 0, then each chunk
+        rows = batch.rows if len(batch.rows) < config.trials else slice(None)
+        # each step's increments (0 on discard), added to the running sum in step order
+        incs = np.diff(block, axis=0, prepend=last[rows][None])
+        incs[0] += inc_sum[rows]
+        inc_sum[rows] = np.add.accumulate(incs, axis=0)[-1]
+        last[rows] = block[-1]
+        if isinstance(rows, np.ndarray):  # retired trials keep their last estimates
+            full = np.repeat(last[None], len(block), axis=0)
+            full[:, rows] = block
+            block = full
+        if blocks is not None:
+            blocks.append(block)
+        values = block if per_trial else np.add.accumulate(block, axis=1)[:, -1:] / config.trials
+        hit = values[:, None, :] >= goal  # (steps, goals, values)
+        # a value past a goal in the block is past it at the block's end
+        new = hit[-1] & (first < 0)
+        first[new] = batch.t - len(block) + 1 + hit.argmax(axis=0)[new]
+        left = values[-1] < top
+        if not left.any():
+            break
+        if per_trial:
+            batch.live, top_live = left[batch.rows], top[left]
 
     dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
-    return opt_mags, float(dev.max())
+    return first, float(dev.max())
 
 
 def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray | None]:
@@ -331,32 +352,34 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
     n_s = config.single_n_s()
     horizon = config.horizon_for(n_s)
     # an eps-stopped run may stop at t=0, so only a budget run must hold its curves
-    held = (horizon + 1) * (_STEP_ROW_BYTES + config.trials * _SAMPLE_VALUE_BYTES)
+    held = (horizon + 1) * config.trials * _SAMPLE_VALUE_BYTES
     _check_fits(config, n_s, 0 if config.eps is not None else held)
     eps = config.eps
-    blocks = []
-    bounds = None  # opt - eps of the runs still in the batch
 
-    def record(t0, block, opt):
-        nonlocal bounds
-        blocks.append(block)
+    def region(opt):  # inside is strictly above opt - eps; a budget run has no region
         if eps is None:
-            return None
-        inside = block[-1] > opt - eps
-        bounds = (opt - eps)[~inside]
-        return inside
+            return np.full((1, len(opt)), np.inf)
+        return np.nextafter(opt - eps, np.inf)[None]
 
-    def all_inside(cur):
-        return (cur > bounds).all()
-
-    opt_mags, _ = _run_lockstep(config, n_s, horizon, record, None if eps is None else all_inside)
+    blocks = []
+    first, _ = _run_lockstep(config, n_s, horizon, region, blocks)
     mags = np.concatenate(blocks)  # (steps run + 1, trials)
     if eps is None:
         return list(mags.T), None
-    inside = mags > opt_mags - eps
-    reached = inside.any(axis=0)
-    ends = np.where(reached, inside.argmax(axis=0), len(mags) - 1)
+    reached = first[0] >= 0
+    ends = np.where(reached, first[0], len(mags) - 1)
     return [mags[: end + 1, k] for k, end in enumerate(ends)], reached
+
+
+def _sweep(config: ExperimentConfig, goals: Callable) -> tuple[list[np.ndarray], float]:
+    """Each n_s's first passages over ``goals`` and the worst telescoping error."""
+    firsts, max_dev = [], 0.0
+    for n_s in config.n_s_values:
+        _check_fits(config, n_s)
+        first, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), goals)
+        firsts.append(first)
+        max_dev = max(max_dev, dev)
+    return firsts, max_dev
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -403,37 +426,12 @@ def run_hitting_time_sweep(config: ExperimentConfig) -> list[HittingTimeResult]:
     if config.init_mode not in ("origin", "zero"):
         raise ValueError("hitting-time experiments start from the origin "
                          "(zero beamforming phases); set init_mode=origin")
-    per_ns, max_dev = [], 0.0
-    for n_s in config.n_s_values:
-        _check_fits(config, n_s)
-        crossed = {}  # alpha -> the first step the mean reaches its threshold
-        pending = []  # (threshold, alpha) not yet reached, the lowest last
-        top = math.inf  # the largest alpha's threshold
-
-        def cross(t0, block, opt):
-            nonlocal top
-            if t0 == 0:
-                mean_opt = float(opt.mean())
-                pending.extend(sorted(((a * mean_opt, a) for a in config.alpha), reverse=True))
-                top = pending[0][0]
-            # summed in trial order, as the recorded CSVs were; block.sum(axis=1) rounds differently
-            means = np.add.accumulate(block, axis=1)[:, -1] / config.trials
-            # stored estimates never decrease, so neither does the mean: only
-            # the lowest pending threshold can be reached next
-            while pending and means[-1] >= pending[-1][0]:
-                threshold, alpha = pending.pop()
-                crossed[alpha] = t0 + int(np.argmax(means >= threshold))
-
-        def all_crossed(cur):  # the mean, as cross sums it, reaches the top threshold
-            return np.add.accumulate(cur)[-1] / config.trials >= top
-
-        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), cross, all_crossed)
-        per_ns.append((n_s, crossed))
-        max_dev = max(max_dev, dev)
-
+    alphas = np.array(config.alpha)[:, None]
+    firsts, max_dev = _sweep(config, lambda opt: alphas * float(opt.mean()))
     results = []
-    for alpha in config.alpha:
-        points = [HittingTimePoint(n_s, crossed.get(alpha)) for n_s, crossed in per_ns]
+    for i, alpha in enumerate(config.alpha):
+        points = [HittingTimePoint(n_s, int(first[i, 0]) if first[i, 0] >= 0 else None)
+                  for n_s, first in zip(config.n_s_values, firsts)]
         resolved = [(p.n_s, p.hitting_time) for p in points if p.hitting_time is not None]
         fit = linear_fit(*zip(*resolved)) if len(resolved) >= 2 else (math.nan,) * 3
         results.append(HittingTimeResult(alpha, tuple(points), *fit, max_dev))
@@ -466,38 +464,11 @@ def run_avg_convergence_sweep(config: ExperimentConfig) -> list[ConvergenceTimeR
     if config.kind != "avg-convergence":
         raise ValueError(f"config kind is {config.kind!r}, expected 'avg-convergence'")
     alphas = np.array(config.alpha)[:, None]
-    top = int(np.argmax(alphas))
-    per_ns, max_dev = [], 0.0
-    for n_s in config.n_s_values:
-        _check_fits(config, n_s)
-        first = np.full((len(config.alpha), config.trials), -1)
-        goals = np.empty(first.shape)  # each alpha's threshold for each trial
-        below = None  # the top-alpha goals of the trials still in the batch
-
-        def first_passage(t0, block, opt):
-            nonlocal below
-            if t0 == 0:
-                np.multiply(alphas, opt, out=goals)
-            hit = block[:, None, :] >= goals  # (steps, alphas, trials)
-            # estimates never decrease, so a goal hit in the block is hit at its end
-            new = hit[-1] & (first < 0)
-            first[new] = t0 + hit.argmax(axis=0)[new]
-            # a trial's top-alpha crossing is its last
-            gone = first[top] >= 0
-            below = goals[top][~gone]
-            return gone
-
-        def all_crossed(cur):
-            return (cur >= below).all()
-
-        _, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), first_passage, all_crossed)
-        per_ns.append((n_s, first))
-        max_dev = max(max_dev, dev)
-
+    firsts, max_dev = _sweep(config, lambda opt: alphas * opt)
     results = []
     for i, alpha in enumerate(config.alpha):
         points = []
-        for n_s, first in per_ns:
+        for n_s, first in zip(config.n_s_values, firsts):
             crossed = first[i] >= 0
             times = np.where(crossed, first[i], np.nan)
             n_ok = int(crossed.sum())

@@ -266,8 +266,8 @@ def test_settings_a_run_cannot_honour_exit_1_naming_key(argv, key, tmp_path, mon
 
 def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monkeypatch,
                                                                   capsys):
-    # the curve's floats take a quarter of physical memory; the per-step row
-    # objects and the CSV text of every value do not fit
+    # the curve's floats take a quarter of physical memory; with the CSV text
+    # of every value they do not fit
     horizon = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 32
     monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
     rc = parse_and_dispatch(
@@ -281,8 +281,8 @@ def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monk
 
 
 def test_verify_increment_counts_its_trajectory_step_objects(tmp_path, monkeypatch, capsys):
-    # three floats a step take three quarters of physical memory; the per-step
-    # NumPy scalars the trajectory's lists hold do not fit
+    # three floats a step take three quarters of physical memory; with the
+    # trajectory's bits and its copies they do not fit
     horizon = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 32
     monkeypatch.setattr(cli, "run_trajectory", _no_step)
     rc = parse_and_dispatch(

@@ -251,10 +251,16 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
 
 
 def lockstep_curves(cfg, n_s, horizon):
-    """The engine's per-trial curves, collected through its block reducer."""
-    blocks = []
-    opt_mags, _ = _run_lockstep(cfg, n_s, horizon, lambda t0, block, opt: blocks.append(block))
-    return np.concatenate(blocks).T, opt_mags
+    """The engine's per-trial curves to the horizon, collected under a goal no
+    trial reaches, and the trials' optimal magnitudes."""
+    blocks, opts = [], []
+
+    def unreachable(opt):
+        opts.append(opt)
+        return np.full((1, len(opt)), np.inf)
+
+    _run_lockstep(cfg, n_s, horizon, unreachable, blocks)
+    return np.concatenate(blocks).T, opts[0]
 
 
 @pytest.mark.parametrize(
@@ -328,61 +334,103 @@ def test_engine_first_passages_match_sequential_alpha_stop():
         assert point.times[k] == expected
 
 
-@pytest.mark.parametrize("k", [0, 1, 37])
-def test_driver_stops_when_the_reducer_says_so(monkeypatch, k):
-    # the 50 steps are one chunk: the kernel tests done at its start and after
-    # each step, and the run stops on the step where done first holds
-    cfg = small_config(trials=3)
-    full, _ = lockstep_curves(cfg, 6, 50)
-    stepped = []
+def recording_lockstep(tested, stepped=None):
+    """The kernel, recording what it tests done on and the steps it runs."""
+    def counting(batch, spec, power, max_steps, rngs, noise_rngs, done):
+        def recorded(cur):
+            tested.append(cur.copy())
+            return done(cur)
 
-    def counting(batch, *args):
-        for block in _lockstep(batch, *args):
-            stepped.extend(range(batch.t - len(block) + 1, batch.t + 1))
+        for block in _lockstep(batch, spec, power, max_steps, rngs, noise_rngs, recorded):
+            if stepped is not None:
+                stepped.extend(range(batch.t - len(block) + 1, batch.t + 1))
             yield block
 
-    monkeypatch.setattr(experiments, "_lockstep", counting)
-    seen, tested = [], []
+    return counting
 
-    def reduce(t0, block, opt):
-        seen.extend((t0 + i, cur.copy()) for i, cur in enumerate(block))
 
-    def done(cur):
-        tested.append(cur.copy())
-        return len(tested) == k + 1
-
-    _run_lockstep(cfg, 6, 50, reduce, done)
+@pytest.mark.parametrize("k", [0, 2, 37])
+@pytest.mark.parametrize("watch", ["each", "mean"])
+def test_driver_stops_on_the_step_every_value_reaches_its_goal(monkeypatch, watch, k):
+    # the 50 steps are one chunk: the kernel tests done at its start and after
+    # each step, and the run stops on the first step where each trial's
+    # estimate, or their mean, is at its goal, its value at step k; some
+    # trial rises at step k
+    cfg = small_config(trials=3)
+    full, _ = lockstep_curves(cfg, 6, 50)
+    assert k == 0 or (full[:, k] > full[:, k - 1]).any()
+    if watch == "each":
+        goal = full[None, :, k]
+        stay = full[:, 0] < goal[0]  # the others leave before the first step
+    else:
+        goal = (np.add.accumulate(full, axis=0)[-1] / cfg.trials)[None, None, k]
+        stay = np.ones(cfg.trials, dtype=bool)
+    stepped, tested, blocks = [], [], []
+    monkeypatch.setattr(experiments, "_lockstep", recording_lockstep(tested, stepped))
+    first, _ = _run_lockstep(cfg, 6, 50, lambda opt: goal, blocks)
+    seen = list(enumerate(np.concatenate(blocks)))
     assert [t for t, _ in seen] == list(range(k + 1))
     assert stepped == list(range(1, k + 1))
+    # a stop at t = 0 leaves the kernel untested
+    assert len(tested) == (k + 1 if k else 0)
+    assert first.max() == k
     for t, cur in seen:
         assert np.array_equal(cur, full[:, t])
     for t, cur in enumerate(tested):
-        assert np.array_equal(cur, full[:, t])
+        assert np.array_equal(cur, full[stay, t])
 
 
-def test_a_trial_the_reducer_is_done_with_keeps_its_magnitude():
+def test_a_trial_past_its_goal_keeps_its_magnitude(monkeypatch):
     cfg = small_config(trials=4)
     full, _ = lockstep_curves(cfg, 6, 60)
-    done_at = np.array([0, 10, 25, 40])  # the step after which the reducer is done with each trial
-    seen, tested = [], []
-
-    def reduce(t0, block, opt):
-        seen.extend(block.copy())
-        return t0 + len(block) - 1 >= done_at
-
-    def done(cur):  # tested at the start of the one 60-step chunk and after each step
-        tested.append(len(cur))
-        return len(tested) == done_at.max() + 1
-
-    _run_lockstep(cfg, 6, 60, reduce, done)
-    assert tested == [3] * (done_at.max() + 1)
-    # the run stops once every trial is done
+    done_at = np.array([0, 10, 25, 35])  # the step each trial first reaches its goal
+    goal = full[np.arange(4), done_at]
+    assert np.array_equal((full >= goal[:, None]).argmax(axis=1), done_at)
+    tested, blocks = [], []
+    monkeypatch.setattr(experiments, "_lockstep", recording_lockstep(tested))
+    first, _ = _run_lockstep(cfg, 6, 60, lambda opt: goal[None], blocks)
+    seen = np.concatenate(blocks)
+    # tested at the start of the one 60-step chunk and after each step
+    assert [len(cur) for cur in tested] == [3] * (done_at.max() + 1)
+    # the run stops once every trial is past its goal
     assert len(seen) == done_at.max() + 1
-    # rows leave at chunk starts: trial 0, done at t = 0, before the first step;
-    # the others step on through the one 60-step chunk until the run stops
+    assert np.array_equal(first[0], done_at)
+    # rows leave at chunk starts: trial 0, past its goal at t = 0, before the
+    # first step; the others step on through the one 60-step chunk until the run stops
     last_step = np.array([0, 60, 60, 60])
     for t, cur in enumerate(seen):
         assert np.array_equal(cur, full[np.arange(4), np.minimum(t, last_step)])
+
+
+def rises(curve):
+    """The steps where a curve's stored estimate rose."""
+    return np.nonzero(np.diff(curve) > 0)[0] + 1
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_an_estimate_at_opt_minus_eps_is_outside_the_eps_region(trials):
+    # eps = opt - m_k is exact for m_k >= opt / 2 (Sterbenz), and so is
+    # opt - eps = m_k: the run is inside only on its next rise past m_k
+    cfg = small_config(kind="sample-path", trials=trials, horizon=400)
+    full, opts = lockstep_curves(cfg, 6, 400)
+    curve, opt = full[0], opts[0]
+    k, after = [t for t in rises(curve) if curve[t] >= opt / 2][:2]
+    eps = opt - curve[k]
+    assert opt - eps == curve[k]
+    curves, reached = run_sample_paths(dataclasses.replace(cfg, eps=eps))
+    assert reached[0]
+    assert len(curves[0]) - 1 == after
+    assert np.array_equal(curves[0], curve[: after + 1])
+
+
+def test_an_estimate_at_alpha_times_opt_is_a_first_passage():
+    cfg = small_config(kind="avg-convergence", trials=3, horizon=400)
+    full, opts = lockstep_curves(cfg, 6, 400)
+    curve, opt = full[0], opts[0]
+    # the first rise whose estimate is exactly some alpha times the optimum
+    k, alpha = next((t, curve[t] / opt) for t in rises(curve) if curve[t] / opt * opt == curve[t])
+    point = run_avg_convergence_sweep(dataclasses.replace(cfg, alpha=(alpha,)))[0].points[0]
+    assert point.times[0] == k
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.001])
