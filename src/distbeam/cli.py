@@ -51,6 +51,12 @@ from .search import StopRule, run_trajectory
 # stored estimates, increments and bits: measured with getrusage at 100k to
 # 3M steps, 40.7-40.9 bytes between two horizons, at most 41.5 over a run
 _TRAJECTORY_STEP_BYTES = 42
+# peak-RSS bytes per sample of verify --check improvement: its improvement
+# (8), then the positive ones (up to 8) and np.median's copy of them (up to
+# 8). Measured with getrusage at 1M to 10M samples, slices included: 16.2-18.6
+# bytes over a run at n_s 10 and 50, where half the samples improve, and
+# 24.4-24.5 at an antipodal n_s = 2 probe, where every sample improves
+_IMPROVEMENT_SAMPLE_BYTES = 25
 
 _ORACLE_KEYS = ("n_s", "master_seed", "P")
 _VERIFY_FLAGS = {"resolution": (720, "grid resolution for local-global"),
@@ -216,6 +222,7 @@ def _run_verify(args, config: ExperimentConfig) -> int:
             channel, config.P, GridSpec(resolution=args.resolution, n_s=n_s)
         )
     elif args.check == "improvement":
+        _check_fits(config, n_s, _IMPROVEMENT_SAMPLE_BYTES * args.samples, rows=1)
         eps = 0.1 * optimal_magnitude(channel, config.P)
         for _ in range(10_000):
             theta = rng.uniform(0.0, TWO_PI, n_s)

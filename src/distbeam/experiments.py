@@ -270,7 +270,9 @@ def _run_lockstep(
     reaches its highest goal, its column keeping its last estimate, and the
     run stops on the step where every value has. A stop at t = 0 leaves the
     batch unstepped; a +inf goal runs to ``horizon``. ``blocks``, when given,
-    collects the (steps, trials) blocks of stored estimates from t = 0.
+    collects the (steps, trials) blocks of stored estimates from t = 0; the
+    run is refused before its first step when the values of its trials short
+    of their highest goals at t = 0, held to ``horizon``, do not fit.
 
     Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
     its channel (unless shared), initial phases and perturbations, in that
@@ -308,6 +310,9 @@ def _run_lockstep(
             return np.add.accumulate(cur)[-1] / config.trials >= top_mean
 
     initial = batch.cur.copy()
+    if blocks is not None:  # a trial short of its goals may store a value every step
+        short = int((initial < top).sum())
+        _check_fits(config, n_s, (horizon + 1) * short * _SAMPLE_VALUE_BYTES)
     last = initial.copy()
     inc_sum = np.zeros(config.trials)
     chunks = _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs,
@@ -351,7 +356,9 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
         raise ValueError(f"config kind is {config.kind!r}, expected 'sample-path'")
     n_s = config.single_n_s()
     horizon = config.horizon_for(n_s)
-    # an eps-stopped run may stop at t=0, so only a budget run must hold its curves
+    # a budget run holds every curve to the horizon, and is refused before any
+    # row exists; an eps run holds those of its runs outside the region at
+    # t = 0, which the driver counts once it has measured them
     held = (horizon + 1) * config.trials * _SAMPLE_VALUE_BYTES
     _check_fits(config, n_s, 0 if config.eps is not None else held)
     eps = config.eps

@@ -28,7 +28,7 @@ from .channel import (
     optimal_magnitude,
 )
 from .experiments import key_value_text
-from .search import Trajectory
+from .search import _CHUNK_VALUES, Trajectory
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,9 @@ def estimate_improvement_probability(
     The probe must lie outside the eps-convergence region; otherwise the
     estimate is meaningless and the status says so. When ``gamma`` is not
     given, gamma_hat is the median positive improvement and eta_hat is the
-    fraction of samples improving by at least gamma_hat.
+    fraction of samples improving by at least gamma_hat. Samples are drawn and
+    evaluated in slices of the search kernel's draw budget; only one float a
+    sample, its improvement, outlives its slice.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -192,8 +194,14 @@ def estimate_improvement_probability(
     mag0 = magnitude(channel, theta, P)
     status, gamma_hat, eta_hat, k0 = "in-epsilon-region", None, None, None
     if not epsilon_region_contains(channel, theta, P, eps):
-        deltas = np.random.default_rng(rng).uniform(-delta0, delta0, (samples, channel.n_s))
-        improvements = magnitude_batch(channel, canonical_phases(theta + deltas), P) - mag0
+        rng = np.random.default_rng(rng)
+        rows = max(1, _CHUNK_VALUES // channel.n_s)
+        improvements = np.empty(samples)
+        for start in range(0, samples, rows):  # sliced draws equal one draw of all
+            part = improvements[start:start + rows]
+            deltas = rng.uniform(-delta0, delta0, (len(part), channel.n_s))
+            np.subtract(magnitude_batch(channel, canonical_phases(theta + deltas), P), mag0,
+                        out=part)
         if gamma is None:
             positive = improvements[improvements > 0]
             gamma_hat = float(np.median(positive)) if positive.size else None

@@ -159,8 +159,8 @@ def test_huge_horizon_exits_1_naming_keys(tmp_path, capsys):
          "averaging-slots"],
 )
 def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
-    # each run is refused before its first allocation: 10^15 samples exceed a
-    # 48-bit address space, and the other sizes exceed physical memory
+    # each run is refused before its first allocation: its sizes exceed
+    # physical memory
     rc = parse_and_dispatch(argv + ["--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -170,7 +170,7 @@ def test_out_of_memory_exits_1_naming_sizes(argv, key, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def _no_step(*args):
+def _no_step(*args, **kwargs):
     raise AssertionError("the run started stepping")
 
 
@@ -277,6 +277,34 @@ def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monk
     err = capsys.readouterr().err
     assert rc == 1
     assert f"horizon={horizon}" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_verify_improvement_counts_its_samples(tmp_path, monkeypatch, capsys):
+    # one float a sample takes an eighth of physical memory; with the positive
+    # improvements and the median's copy of them they may not fit
+    samples = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+    monkeypatch.setattr(cli, "estimate_improvement_probability", _no_step)
+    rc = parse_and_dispatch(
+        ["verify", "--check", "improvement", "--n-s", "10", "--samples", str(samples),
+         "--out", str(tmp_path / "x")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: out of memory at n_s=10 samples={samples}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_eps_sample_paths_count_the_runs_outside_the_region(tmp_path, monkeypatch, capsys):
+    # the run starts outside a region it never enters, so it may store a
+    # value at every step to the horizon; it is refused before its first step
+    monkeypatch.setattr(experiments, "_lockstep", _no_step)
+    rc = parse_and_dispatch(
+        ["sample-path", "--n-s", "4", "--trials", "1", "--eps", "1e-12",
+         "--horizon", "1000000000000", "--out", str(tmp_path / "x")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: out of memory at n_s=4 trials=1 horizon=1000000000000\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from distbeam.oracle import (
     LocalMaxReport,
     ShiftInvarianceReport,
 )
+from distbeam.search import _CHUNK_VALUES
 
 
 def test_grid_spec_validation():
@@ -162,8 +164,37 @@ _OFF_PROBE = (0.0, math.pi / 2)  # magnitude sqrt 2 of the optimum 2, outside ep
         ((0.1, 0.1), 200, -1.0, 0,
          "status=in-epsilon-region\ngamma_hat=\neta_hat=\nk0_diag=\n"
          "samples=200\nmag_at_theta=2.0\n", 0.6369616873214543),
+        # samples are drawn in slices of 65536 at n_s = 2: one slice - 1, one
+        # slice, one slice + 1 and two slices + 3
+        (_OFF_PROBE, 65535, None, 0,
+         "status=ok\ngamma_hat=0.0425885334212055\neta_hat=0.2495155260547799\nk0_diag=95\n"
+         "samples=65535\nmag_at_theta=1.4142135623730951\n", 0.25750875941497353),
+        (_OFF_PROBE, 65535, 1e-3, 0,
+         "status=ok\ngamma_hat=0.001\neta_hat=0.49213397421225297\nk0_diag=2032\n"
+         "samples=65535\nmag_at_theta=1.4142135623730951\n", 0.25750875941497353),
+        (_OFF_PROBE, 65536, None, 0,
+         "status=ok\ngamma_hat=0.0425885334212055\neta_hat=0.24951171875\nk0_diag=95\n"
+         "samples=65536\nmag_at_theta=1.4142135623730951\n", 0.570875222669256),
+        (_OFF_PROBE, 65536, 1e-3, 0,
+         "status=ok\ngamma_hat=0.001\neta_hat=0.49212646484375\nk0_diag=2032\n"
+         "samples=65536\nmag_at_theta=1.4142135623730951\n", 0.570875222669256),
+        (_OFF_PROBE, 65537, None, 0,
+         "status=ok\ngamma_hat=0.0425885334212055\neta_hat=0.24950791156140806\nk0_diag=95\n"
+         "samples=65537\nmag_at_theta=1.4142135623730951\n", 0.11257173540539878),
+        (_OFF_PROBE, 65537, 1e-3, 0,
+         "status=ok\ngamma_hat=0.001\neta_hat=0.4921189557044113\nk0_diag=2033\n"
+         "samples=65537\nmag_at_theta=1.4142135623730951\n", 0.11257173540539878),
+        (_OFF_PROBE, 131075, None, 0,
+         "status=ok\ngamma_hat=0.04259640391021913\neta_hat=0.2504444020598894\nk0_diag=94\n"
+         "samples=131075\nmag_at_theta=1.4142135623730951\n", 0.3297681483096705),
+        (_OFF_PROBE, 131075, 1e-3, 0,
+         "status=ok\ngamma_hat=0.001\neta_hat=0.49396147243944305\nk0_diag=2025\n"
+         "samples=131075\nmag_at_theta=1.4142135623730951\n", 0.3297681483096705),
     ],
-    ids=["ok", "ok-given-gamma", "none-positive", "eta-zero", "in-region"],
+    ids=["ok", "ok-given-gamma", "none-positive", "eta-zero", "in-region",
+         "slice-minus-1", "slice-minus-1-given-gamma", "slice", "slice-given-gamma",
+         "slice-plus-1", "slice-plus-1-given-gamma", "two-slices-plus-3",
+         "two-slices-plus-3-given-gamma"],
 )
 def test_improvement_probability_outcomes_are_pinned(theta, samples, gamma, seed, text,
                                                      next_draw):
@@ -174,6 +205,26 @@ def test_improvement_probability_outcomes_are_pinned(theta, samples, gamma, seed
     )
     assert est.to_text() == f"check=improvement-probability\n{text}opt_mag=2.0\neps=0.2\n"
     assert rng.random() == next_draw
+
+
+def test_improvement_probability_keeps_one_float_a_sample():
+    # the samples stream in slices of the kernel's draw budget; only their
+    # improvements outlive a slice
+    n_s, samples = 50, 50_000
+    ch = generate_channel(n_s, np.random.default_rng(0))
+    theta = np.random.default_rng(1).uniform(0, TWO_PI, n_s)
+    slice_values = max(1, _CHUNK_VALUES // n_s) * n_s
+    tracemalloc.start()
+    try:
+        est = estimate_improvement_probability(
+            ch, theta, 1.0, math.pi / 30, eps=0.1 * optimal_magnitude(ch, 1.0),
+            samples=samples, rng=np.random.default_rng(2),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.status == "ok"
+    assert peak < 32 * samples + 64 * slice_values
 
 
 def test_improvement_probability_checks_gamma_after_sampling():
