@@ -52,11 +52,11 @@ from .search import StopRule, run_trajectory
 # 3M steps, 40.7-40.9 bytes between two horizons, at most 41.5 over a run
 _TRAJECTORY_STEP_BYTES = 42
 # peak-RSS bytes per sample of verify --check improvement: its improvement
-# (8), then the positive ones (up to 8) and np.median's copy of them (up to
-# 8). Measured with getrusage at 1M to 10M samples, slices included: 16.2-18.6
+# (8), then the positive ones (up to 8), which np.median sorts in place.
+# Measured with getrusage at 2M to 10M samples, slices included: 12.6-13.3
 # bytes over a run at n_s 10 and 50, where half the samples improve, and
-# 24.4-24.5 at an antipodal n_s = 2 probe, where every sample improves
-_IMPROVEMENT_SAMPLE_BYTES = 25
+# 17.0-17.3 at an antipodal n_s = 2 probe, where every sample improves
+_IMPROVEMENT_SAMPLE_BYTES = 18
 
 _ORACLE_KEYS = ("n_s", "master_seed", "P")
 _VERIFY_FLAGS = {"resolution": (720, "grid resolution for local-global"),

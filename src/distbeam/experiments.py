@@ -266,10 +266,10 @@ def _run_lockstep(
     thresholds: a (g, trials) array watches each trial's stored estimate, a
     (g, 1) array their mean, summed in trial order (with one trial the two
     are the same). Stored estimates never decrease, so neither does a watched
-    value: a trial leaves the batch at the next chunk start once its value
-    reaches its highest goal, its column keeping its last estimate, and the
-    run stops on the step where every value has. A stop at t = 0 leaves the
-    batch unstepped; a +inf goal runs to ``horizon``. ``blocks``, when given,
+    value: a trial leaves the batch between blocks once its value reaches its
+    highest goal, its column keeping its last estimate, and the run stops on
+    the step where every value has. A stop at t = 0 leaves the batch
+    unstepped; a +inf goal runs to ``horizon``. ``blocks``, when given,
     collects the (steps, trials) blocks of stored estimates from t = 0; the
     run is refused before its first step when the values of its trials short
     of their highest goals at t = 0, held to ``horizon``, do not fit.
@@ -291,8 +291,8 @@ def _run_lockstep(
     ]
     channels = [shared if shared is not None else generate_channel(n_s, rng) for rng in rngs]
     power = config.power()
-    batch, noise_rngs = _start(channels, config.init_mode, power, rngs)
-    batch.theta, batch.rows = None, np.arange(config.trials)  # no study reads phases
+    batch = _start(channels, config.init_mode, power, rngs)
+    batch.theta = None  # no study reads phases
     goal = np.asarray(goals(math.sqrt(config.P) * batch.amps.sum(axis=1)), dtype=float)
     first = np.full(goal.shape, -1)
     top = goal.max(axis=0)
@@ -315,10 +315,10 @@ def _run_lockstep(
         _check_fits(config, n_s, (horizon + 1) * short * _SAMPLE_VALUE_BYTES)
     last = initial.copy()
     inc_sum = np.zeros(config.trials)
-    chunks = _lockstep(batch, config.perturbation(), power, horizon, rngs, noise_rngs,
+    rows = slice(None)  # the trial of each batch row: all of them until one retires
+    chunks = _lockstep(batch, config.perturbation(), power, horizon,
                        None if np.isinf(top).all() else done)
     for block in itertools.chain([initial[None]], chunks):  # t = 0, then each chunk
-        rows = batch.rows if len(batch.rows) < config.trials else slice(None)
         # each step's increments (0 on discard), added to the running sum in step order
         incs = np.diff(block, axis=0, prepend=last[rows][None])
         incs[0] += inc_sum[rows]
@@ -338,8 +338,9 @@ def _run_lockstep(
         left = values[-1] < top
         if not left.any():
             break
-        if per_trial:
-            batch.live, top_live = left[batch.rows], top[left]
+        if per_trial and not left[rows].all():  # trials at their highest goals retire
+            batch.keep(left[rows])
+            rows, top_live = np.flatnonzero(left), top[left]
 
     dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
     return first, float(dev.max())

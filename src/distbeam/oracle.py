@@ -204,7 +204,7 @@ def estimate_improvement_probability(
                         out=part)
         if gamma is None:
             positive = improvements[improvements > 0]
-            gamma_hat = float(np.median(positive)) if positive.size else None
+            gamma_hat = float(np.median(positive, overwrite_input=True)) if positive.size else None
         elif gamma > 0:
             gamma_hat = float(gamma)
         else:

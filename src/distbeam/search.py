@@ -171,18 +171,25 @@ def sample_perturbation(
 class _Batch:
     """Lockstep state of independent searches, one row per trial: the
     amplitudes, the accepted phases or None, their phasors, the stored
-    magnitude estimates and the steps taken; with ``live`` set, also the
-    caller's index of each row and which rows stay. ``theta`` holds the
-    accepted phases after each step of the last block, (steps, rows, n_s);
-    before the first block, the initial phases as one step."""
+    magnitude estimates, each row's perturbation and noise generators (read
+    only when noisy) and the steps taken. ``theta`` holds the accepted phases
+    after each step of the last block, (steps, rows, n_s); before the first
+    block, the initial phases as one step."""
 
     amps: np.ndarray
     theta: np.ndarray | None
     w: np.ndarray
     cur: np.ndarray
+    rngs: list
+    noise_rngs: list | None
     t: int = 0
-    rows: np.ndarray | None = None
-    live: np.ndarray | None = None
+
+    def keep(self, stay) -> None:
+        """Drop the rows where ``stay`` is False, with their streams and phases."""
+        self.rngs = [rng for rng, s in zip(self.rngs, stay) if s]
+        self.noise_rngs = self.noise_rngs and [rng for rng, s in zip(self.noise_rngs, stay) if s]
+        self.amps, self.w, self.cur = self.amps[stay], self.w[stay], self.cur[stay]
+        self.theta = None if self.theta is None else self.theta[:, stay]
 
 
 def _noise(rngs, power: PowerConfig, steps: int):
@@ -197,8 +204,8 @@ def _noise(rngs, power: PowerConfig, steps: int):
     return buf.swapaxes(0, 1)
 
 
-def _start(channels, init_mode, power: PowerConfig, rngs):
-    """The initial batch and the noise streams of its rows.
+def _start(channels, init_mode, power: PowerConfig, rngs) -> _Batch:
+    """The initial batch, its rows stepping on ``rngs``.
 
     Each row draws its initial phases from its own generator. Measurement
     noise, when on, comes from a child stream spawned from that generator's
@@ -210,48 +217,36 @@ def _start(channels, init_mode, power: PowerConfig, rngs):
     amps = np.stack([ch.a for ch in channels])
     w = phasors(amps, theta)
     cur = coherent_magnitude(w.sum(axis=1), power.P, _noise(noise_rngs, power, 1)[0])
-    return _Batch(amps, theta[None], w, cur), noise_rngs
+    return _Batch(amps, theta[None], w, cur, rngs, noise_rngs)
 
 
-def _lockstep(batch: _Batch, spec, power, max_steps: int, rngs, noise_rngs, done=None):
+def _lockstep(batch: _Batch, spec, power, max_steps: int, done=None):
     """Advance ``batch`` in place by propose -> measure -> keep, one chunk of
     steps at a time. Each chunk yields a (steps, rows) block: the stored
     estimates after each of its steps.
 
-    Row k perturbs every phase with a draw from ``spec`` on ``rngs[k]``,
-    measures the proposal with slot noise from ``noise_rngs[k]``, and keeps
-    the move exactly when the proposed estimate strictly exceeds the stored
-    one; so a row's stored estimate rises exactly on a keep. Steps run up to
-    ``max_steps``. ``done(cur)``, when given, is tested on the stored
-    estimates at each chunk start and after every step: once it holds the
-    block ends there, and the generator returns. A caller done with some rows
-    clears their ``batch.live`` entries: they leave with their streams at the
-    next chunk start.
+    Row k perturbs every phase with a draw from ``spec`` on
+    ``batch.rngs[k]``, measures the proposal with slot noise from
+    ``batch.noise_rngs[k]``, and keeps the move exactly when the proposed
+    estimate strictly exceeds the stored one; so a row's stored estimate
+    rises exactly on a keep. Steps run up to ``max_steps``. ``done(cur)``,
+    when given, is tested on the stored estimates at each chunk start and
+    after every step: once it holds the block ends there, and the generator
+    returns. The kernel steps the rows the batch holds; a caller drops rows
+    with :meth:`_Batch.keep` between blocks.
 
     A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
     rows; chunking leaves the streams as they are.
     """
     n_s = batch.w.shape[1]
     slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
-    while batch.t < max_steps:
-        if batch.live is not None and not batch.live.all():
-            stay = batch.live
-            rngs = [rng for rng, s in zip(rngs, stay) if s]
-            noise_rngs = noise_rngs and [rng for rng, s in zip(noise_rngs, stay) if s]
-            batch.amps, batch.w, batch.cur, batch.rows, batch.live = (
-                a[stay] for a in (batch.amps, batch.w, batch.cur, batch.rows, stay))
-            batch.theta = None if batch.theta is None else batch.theta[:, stay]
-        if done is not None and done(batch.cur):
-            return
-        size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(rngs) * (n_s + slots))),
+    while batch.t < max_steps and not (done is not None and done(batch.cur)):
+        size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(batch.cur) * (n_s + slots))),
                    max_steps - batch.t)
-        block = _chunk(batch, spec, power, size, rngs, noise_rngs, done)
-        yield block
-        if len(block) < size:
-            return
+        yield _chunk(batch, spec, power, size, done)
 
 
-def _chunk(batch: _Batch, spec, power, size: int, rngs, noise_rngs, done) -> np.ndarray:
+def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     """Run up to ``size`` steps of :func:`_lockstep` on ``batch``, ending
     after the first step where ``done`` holds; returns their block.
 
@@ -265,13 +260,13 @@ def _chunk(batch: _Batch, spec, power, size: int, rngs, noise_rngs, done) -> np.
     rows, n_s = batch.w.shape
     d0, k = spec.delta0, power.averaging_slots
     deltas = np.empty((rows, size, n_s))
-    for rng, row in zip(rngs, deltas):
+    for rng, row in zip(batch.rngs, deltas):
         rng.random(out=row)
     deltas *= d0 - (-d0)
     deltas += -d0
     deltas = deltas.swapaxes(0, 1)
     turns = rotations(batch.amps, deltas)
-    noise = _noise(noise_rngs, power, size)
+    noise = _noise(batch.noise_rngs, power, size)
     block = np.empty((size, rows))
     proposed = np.empty_like(batch.w)
     total = np.empty(rows, dtype=complex)
@@ -323,8 +318,8 @@ def one_bit_step(
     rng = np.random.default_rng(rng)
     amps = channel.a[None]
     batch = _Batch(amps, state.theta[None, None], phasors(amps, state.theta[None]),
-                   np.array([state.current_mag]), state.step_index)
-    mag = next(_lockstep(batch, spec, power, batch.t + 1, [rng], [rng]))[0, 0]
+                   np.array([state.current_mag]), [rng], [rng], state.step_index)
+    mag = next(_lockstep(batch, spec, power, batch.t + 1))[0, 0]
     if mag > state.current_mag:  # the stored estimate rose: the move was kept
         new_state = SearchState(canonical_phases(batch.theta[-1, 0]), float(mag), batch.t)
         return new_state, True, float(mag - state.current_mag)
@@ -355,7 +350,7 @@ def run_trajectory(
     Identical inputs and seed give a bit-identical trajectory.
     """
     rng = np.random.default_rng(seed)
-    batch, noise_rngs = _start([channel], init_mode, power, [rng])
+    batch = _start([channel], init_mode, power, [rng])
     initial_theta = batch.theta[0, 0].copy()
     initial_mag = float(batch.cur[0])
     opt = optimal_magnitude(channel, power.P)
@@ -365,7 +360,7 @@ def run_trajectory(
             return stop.met(float(cur[0]), opt)
 
     mags, thetas = [np.empty(0)], [np.empty((0, channel.n_s))]
-    for block in _lockstep(batch, spec, power, stop.max_steps, [rng], noise_rngs, done):
+    for block in _lockstep(batch, spec, power, stop.max_steps, done):
         mags.append(block[:, 0])
         if record_thetas:
             thetas.append(canonical_phases(batch.theta[:, 0]))

@@ -282,7 +282,7 @@ def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monk
 
 def test_verify_improvement_counts_its_samples(tmp_path, monkeypatch, capsys):
     # one float a sample takes an eighth of physical memory; with the positive
-    # improvements and the median's copy of them they may not fit
+    # improvements beside them they may not fit
     samples = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
     monkeypatch.setattr(cli, "estimate_improvement_probability", _no_step)
     rc = parse_and_dispatch(

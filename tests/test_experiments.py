@@ -336,12 +336,12 @@ def test_engine_first_passages_match_sequential_alpha_stop():
 
 def recording_lockstep(tested, stepped=None):
     """The kernel, recording what it tests done on and the steps it runs."""
-    def counting(batch, spec, power, max_steps, rngs, noise_rngs, done):
+    def counting(batch, spec, power, max_steps, done):
         def recorded(cur):
             tested.append(cur.copy())
             return done(cur)
 
-        for block in _lockstep(batch, spec, power, max_steps, rngs, noise_rngs, recorded):
+        for block in _lockstep(batch, spec, power, max_steps, recorded):
             if stepped is not None:
                 stepped.extend(range(batch.t - len(block) + 1, batch.t + 1))
             yield block

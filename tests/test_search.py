@@ -338,11 +338,10 @@ def test_kernel_magnitudes_match_direct_formula(n_s, delta0):
 
 
 def _batch(n_s, rows, power, seed):
-    """A kernel batch of ``rows`` uniform starts on their own channels, with its streams."""
+    """A kernel batch of ``rows`` uniform starts on their own channels."""
     rngs = [np.random.default_rng([seed, j]) for j in range(rows)]
     channels = [generate_channel(n_s, rng) for rng in rngs]
-    batch, noise_rngs = _start(channels, "uniform", power, rngs)
-    return batch, rngs, noise_rngs
+    return _start(channels, "uniform", power, rngs)
 
 
 @pytest.mark.parametrize("target", [1, 255, 256, 257, 520])
@@ -350,15 +349,13 @@ def test_a_block_ends_on_the_step_where_done_first_holds(target):
     # eight rows of n_s = 16 step in 256-step chunks, and their mean rises at
     # each target step k, so done holds from step k on and never before it
     spec, power, horizon, k = PerturbationSpec(delta0=math.pi / 30), POWER, 600, target
-    batch, rngs, noise_rngs = _batch(16, 8, power, 1)
-    curve = np.concatenate([batch.cur[None]] + list(
-        _lockstep(batch, spec, power, horizon, rngs, noise_rngs)))
+    batch = _batch(16, 8, power, 1)
+    curve = np.concatenate([batch.cur[None]] + list(_lockstep(batch, spec, power, horizon)))
     means = curve.mean(axis=1)
     assert means[k] > means[k - 1]
 
-    batch, rngs, noise_rngs = _batch(16, 8, power, 1)
-    run = _lockstep(batch, spec, power, horizon, rngs, noise_rngs,
-                    lambda cur: cur.mean() >= means[k])
+    batch = _batch(16, 8, power, 1)
+    run = _lockstep(batch, spec, power, horizon, lambda cur: cur.mean() >= means[k])
     blocks = list(run)  # the generator returns after the block that ends at step k
     assert [len(b) for b in blocks] == [256] * (k // 256) + ([k % 256] if k % 256 else [])
     assert batch.t == k
@@ -372,13 +369,14 @@ def test_kernel_noisy_estimates_match_coherent_magnitude(k):
     # time through its allocating form, on the same draws, gives the same bits
     spec, steps = PerturbationSpec(delta0=math.pi / 30), 40
     power = PowerConfig(P=2.5, sigma2=0.05, averaging_slots=k)
-    batch, rngs, noise_rngs = _batch(5, 3, power, 11)
-    blocks = list(_lockstep(batch, spec, power, steps, rngs, noise_rngs))
+    batch = _batch(5, 3, power, 11)
+    blocks = list(_lockstep(batch, spec, power, steps))
     assert len(blocks) == 1  # one chunk: each row's perturbations, then its slot noise
-    ref, rngs, noise_rngs = _batch(5, 3, power, 11)
-    deltas = np.stack([rng.uniform(-spec.delta0, spec.delta0, (steps, 5)) for rng in rngs], axis=1)
+    ref = _batch(5, 3, power, 11)
+    deltas = np.stack([rng.uniform(-spec.delta0, spec.delta0, (steps, 5)) for rng in ref.rngs],
+                      axis=1)
     noise = math.sqrt(power.sigma2 / 2) * np.stack(
-        [rng.standard_normal((steps, 2, k)) for rng in noise_rngs], axis=1)
+        [rng.standard_normal((steps, 2, k)) for rng in ref.noise_rngs], axis=1)
     w, cur, kept = ref.w, ref.cur, 0
     for t in range(steps):
         proposed = w * rotations(ref.amps, deltas[t])
@@ -388,6 +386,26 @@ def test_kernel_noisy_estimates_match_coherent_magnitude(k):
         kept += keep.sum()
         assert np.array_equal(blocks[0][t], cur)
     assert 0 < kept < 3 * steps
+
+
+@pytest.mark.parametrize(
+    "power", [PowerConfig(), PowerConfig(P=2.5, sigma2=0.05, averaging_slots=3)],
+    ids=["noiseless", "noisy"],
+)
+def test_dropped_rows_leave_with_their_streams(power):
+    # rows 1 and 3 leave after the first 256-step block; rows 0 and 2 step
+    # on with their own generators and tracked phases, as if never batched
+    spec = PerturbationSpec(delta0=math.pi / 30)
+    ref = _batch(6, 4, power, 5)
+    full = np.concatenate(list(_lockstep(ref, spec, power, 300)))
+    batch = _batch(6, 4, power, 5)
+    run = _lockstep(batch, spec, power, 300)
+    blocks = [next(run)]
+    batch.keep([True, False, True, False])
+    blocks += list(run)
+    assert len(blocks) == 2 and len(batch.rngs) == 2
+    assert np.array_equal(np.concatenate([blocks[0][:, [0, 2]]] + blocks[1:]), full[:, [0, 2]])
+    assert np.array_equal(batch.theta, ref.theta[:, [0, 2]])
 
 
 def test_batched_uniform_draws_match_sequential():
