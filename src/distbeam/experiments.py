@@ -3,21 +3,21 @@ average convergence time vs n_s, with seed-level reproducibility.
 
 Per-trial random streams are a pure function of (master_seed, n_s, trial), so
 adding trials, n_s points, or thresholds never perturbs existing results. All
-trials of one n_s advance in lockstep through the search kernel, the same one
+trials of one n_s advance in lockstep through the search driver,
+:func:`distbeam.search._drive`, the same one
 :func:`distbeam.search.run_trajectory` runs on a single row, so every
 magnitude is bit-identical to per-trial trajectories, with or without noise.
 Each study declares its goals, thresholds on a value that never decreases:
 alpha times the mean optimum for the trial-order mean (hitting time), alpha
 times each trial's optimum for its stored estimate (average convergence), or
-each run's eps region (sample paths). One driver finds every first passage
-in the kernel's blocks, retires a trial once it reaches its highest goal and
-stops the run on the step where every watched value has.
+each run's eps goal (sample paths). The driver finds every first passage,
+retires a trial once it reaches its highest goal and stops the run on the
+step where every watched value has.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 import re
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import _whole, generate_channel, PowerConfig
-from .search import PerturbationSpec, _lockstep, _start
+from .search import PerturbationSpec, StopRule, _drive, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
 INIT_MODES = ("origin", "zero", "uniform")
@@ -259,27 +259,15 @@ def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
 def _run_lockstep(
     config: ExperimentConfig, n_s: int, horizon: int, goals: Callable, blocks: list | None = None
 ) -> tuple[np.ndarray, float]:
-    """Advance all trials of one n_s in lockstep through the search kernel
-    and find when the values it watches first reach their goals.
+    """Step all trials of one n_s toward ``goals(opt_mags)``, the thresholds
+    for their optimal magnitudes, with :func:`distbeam.search._drive` up to
+    ``horizon``; returns its first passages and telescoping error. Trial k
+    runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``: its
+    channel (unless shared), initial phases and perturbations, in that order.
 
-    ``goals(opt_mags)`` takes the trials' optimal magnitudes and returns the
-    thresholds: a (g, trials) array watches each trial's stored estimate, a
-    (g, 1) array their mean, summed in trial order (with one trial the two
-    are the same). Stored estimates never decrease, so neither does a watched
-    value: a trial leaves the batch between blocks once its value reaches its
-    highest goal, its column keeping its last estimate, and the run stops on
-    the step where every value has. A stop at t = 0 leaves the batch
-    unstepped; a +inf goal runs to ``horizon``. ``blocks``, when given,
-    collects the (steps, trials) blocks of stored estimates from t = 0; the
-    run is refused before its first step when the values of its trials short
-    of their highest goals at t = 0, held to ``horizon``, do not fit.
-
-    Trial k runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``:
-    its channel (unless shared), initial phases and perturbations, in that
-    order. Returns the first step each value reaches each goal at (-1 if it
-    never does), shaped as the goals, and the worst relative telescoping
-    error |Mag[T] - (Mag[0] + sum I)| / Mag[T], T being each trial's last
-    step run.
+    ``blocks``, when given, collects the driver's blocks of stored estimates;
+    the run is refused before its first step when the values of its trials
+    short of their highest goals at t = 0, held to ``horizon``, do not fit.
     """
     shared = None
     if config.channel_policy == "fixed-across-trials":
@@ -294,56 +282,10 @@ def _run_lockstep(
     batch = _start(channels, config.init_mode, power, rngs)
     batch.theta = None  # no study reads phases
     goal = np.asarray(goals(math.sqrt(config.P) * batch.amps.sum(axis=1)), dtype=float)
-    first = np.full(goal.shape, -1)
-    top = goal.max(axis=0)
-    per_trial = goal.shape[1] > 1
-    # the kernel tests done after every step, so each is one expression
-    if per_trial:
-        top_live = top  # the highest goals of the trials in the batch
-
-        def done(cur):
-            return (cur >= top_live).all()
-    else:
-        top_mean = float(top[0])
-
-        def done(cur):  # summed in trial order, as the recorded CSVs were
-            return np.add.accumulate(cur)[-1] / config.trials >= top_mean
-
-    initial = batch.cur.copy()
     if blocks is not None:  # a trial short of its goals may store a value every step
-        short = int((initial < top).sum())
+        short = int((batch.cur < goal.max(axis=0)).sum())
         _check_fits(config, n_s, (horizon + 1) * short * _SAMPLE_VALUE_BYTES)
-    last = initial.copy()
-    inc_sum = np.zeros(config.trials)
-    rows = slice(None)  # the trial of each batch row: all of them until one retires
-    chunks = _lockstep(batch, config.perturbation(), power, horizon,
-                       None if np.isinf(top).all() else done)
-    for block in itertools.chain([initial[None]], chunks):  # t = 0, then each chunk
-        # each step's increments (0 on discard), added to the running sum in step order
-        incs = np.diff(block, axis=0, prepend=last[rows][None])
-        incs[0] += inc_sum[rows]
-        inc_sum[rows] = np.add.accumulate(incs, axis=0)[-1]
-        last[rows] = block[-1]
-        if isinstance(rows, np.ndarray):  # retired trials keep their last estimates
-            full = np.repeat(last[None], len(block), axis=0)
-            full[:, rows] = block
-            block = full
-        if blocks is not None:
-            blocks.append(block)
-        values = block if per_trial else np.add.accumulate(block, axis=1)[:, -1:] / config.trials
-        hit = values[:, None, :] >= goal  # (steps, goals, values)
-        # a value past a goal in the block is past it at the block's end
-        new = hit[-1] & (first < 0)
-        first[new] = batch.t - len(block) + 1 + hit.argmax(axis=0)[new]
-        left = values[-1] < top
-        if not left.any():
-            break
-        if per_trial and not left[rows].all():  # trials at their highest goals retire
-            batch.keep(left[rows])
-            rows, top_live = np.flatnonzero(left), top[left]
-
-    dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
-    return first, float(dev.max())
+    return _drive(batch, config.perturbation(), power, horizon, goal, blocks)
 
 
 def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray | None]:
@@ -362,17 +304,11 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
     # t = 0, which the driver counts once it has measured them
     held = (horizon + 1) * config.trials * _SAMPLE_VALUE_BYTES
     _check_fits(config, n_s, 0 if config.eps is not None else held)
-    eps = config.eps
-
-    def region(opt):  # inside is strictly above opt - eps; a budget run has no region
-        if eps is None:
-            return np.full((1, len(opt)), np.inf)
-        return np.nextafter(opt - eps, np.inf)[None]
-
+    stop = StopRule(horizon, eps=config.eps)  # a budget run's goal is +inf
     blocks = []
-    first, _ = _run_lockstep(config, n_s, horizon, region, blocks)
+    first, _ = _run_lockstep(config, n_s, horizon, lambda opt: stop.goal(opt)[None], blocks)
     mags = np.concatenate(blocks)  # (steps run + 1, trials)
-    if eps is None:
+    if config.eps is None:
         return list(mags.T), None
     reached = first[0] >= 0
     ends = np.where(reached, first[0], len(mags) - 1)

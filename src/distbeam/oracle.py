@@ -28,7 +28,7 @@ from .channel import (
     optimal_magnitude,
 )
 from .experiments import key_value_text
-from .search import _CHUNK_VALUES, Trajectory
+from .search import _CHUNK_VALUES, PerturbationSpec, Trajectory
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,7 @@ def estimate_improvement_probability(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not delta0 > 0:
-        raise ValueError("delta0 must be positive")
+    PerturbationSpec(delta0)  # the search's own check
     theta = canonical_phases(theta)
     mag0 = magnitude(channel, theta, P)
     status, gamma_hat, eta_hat, k0 = "in-epsilon-region", None, None, None

@@ -6,12 +6,14 @@ proposed magnitude strictly exceeds the stored one (ties discard). That one
 keep rule never lets the stored magnitude fall.
 
 One lockstep kernel, :func:`_lockstep`, runs this loop on a (trials, n_s)
-batch. A single step, a trajectory (one row) and the experiment engine (one
-row per trial) all run through it.
+batch. One driver, :func:`_drive`, steps it toward declared goals, finds first
+passages, retires rows and stops the run: a trajectory is the driver on one
+row, a study the driver on one row per trial.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ from .channel import (
     ChannelRealization,
     PowerConfig,
     SeedLike,
+    _whole,
     canonical_phases,
     coherent_magnitude,
     measure_magnitude,
@@ -69,8 +72,7 @@ class StopRule:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        _whole("max_steps", self.max_steps, 0)
         if self.eps is not None and self.alpha is not None:
             raise ValueError("stop rule takes eps or alpha, not both")
         if self.eps is not None and not self.eps > 0:
@@ -82,13 +84,15 @@ class StopRule:
     def steps(max_steps: int) -> "StopRule":
         return StopRule(max_steps=max_steps)
 
-    def met(self, mag: float, opt_mag: float) -> bool | None:
-        """Threshold test, or None when this is a pure step-budget rule."""
+    def goal(self, opt_mag):
+        """The value the stored magnitude must reach, shaped as ``opt_mag``:
+        the least float above opt - eps (inside the eps region is strictly
+        above it), alpha * opt, or +inf for a pure step budget."""
         if self.eps is not None:
-            return mag > opt_mag - self.eps
+            return np.nextafter(opt_mag - self.eps, np.inf)
         if self.alpha is not None:
-            return mag >= self.alpha * opt_mag
-        return None
+            return self.alpha * opt_mag
+        return np.full_like(opt_mag, np.inf)
 
 
 @dataclass(frozen=True)
@@ -300,6 +304,75 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     return block
 
 
+def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas=None):
+    """Step ``batch`` through the kernel and find when the values it watches
+    first reach their goals: a (g, rows) ``goal`` watches each row's stored
+    estimate, a (g, 1) one their mean, summed in row order (with one row the
+    two are the same).
+
+    Stored estimates never decrease, so neither does a watched value: a row
+    leaves the batch between blocks once its value reaches its highest goal,
+    its column keeping its last estimate, and the run stops on the step where
+    every value has. A stop at t = 0 leaves the batch unstepped; a +inf goal
+    runs to ``max_steps``. ``blocks`` and ``thetas``, when given, collect the
+    (steps, rows) blocks of stored estimates and the phases in [0, 2pi) after
+    each of their steps, from t = 0.
+
+    Returns the first step each value reaches each goal at (-1 if it never
+    does), shaped as ``goal``, and the worst relative telescoping error
+    |Mag[T] - (Mag[0] + sum I)| / Mag[T], T being each row's last step run.
+    """
+    n_rows = len(batch.cur)
+    first = np.full(goal.shape, -1)
+    top = goal.max(axis=0)
+    per_trial = goal.shape[1] > 1
+    # the kernel tests done after every step, so each is one expression
+    if per_trial:
+        top_live = top  # the highest goals of the rows in the batch
+
+        def done(cur):
+            return (cur >= top_live).all()
+    else:
+        top_mean = float(top[0])
+
+        def done(cur):  # summed in row order, as the recorded CSVs were
+            return np.add.accumulate(cur)[-1] / n_rows >= top_mean
+
+    initial = batch.cur.copy()
+    last = initial.copy()
+    inc_sum = np.zeros(n_rows)
+    rows = slice(None)  # the column of each batch row: all of them until one retires
+    chunks = _lockstep(batch, spec, power, max_steps, None if np.isinf(top).all() else done)
+    for block in itertools.chain([initial[None]], chunks):  # t = 0, then each chunk
+        # each step's increments (0 on discard), added to the running sum in step order
+        incs = np.diff(block, axis=0, prepend=last[rows][None])
+        incs[0] += inc_sum[rows]
+        inc_sum[rows] = np.add.accumulate(incs, axis=0)[-1]
+        last[rows] = block[-1]
+        if isinstance(rows, np.ndarray):  # retired rows keep their last estimates
+            full = np.repeat(last[None], len(block), axis=0)
+            full[:, rows] = block
+            block = full
+        if blocks is not None:
+            blocks.append(block)
+        if thetas is not None:
+            thetas.append(canonical_phases(batch.theta))
+        values = block if per_trial else np.add.accumulate(block, axis=1)[:, -1:] / n_rows
+        hit = values[:, None, :] >= goal  # (steps, goals, values)
+        # a value past a goal in the block is past it at the block's end
+        new = hit[-1] & (first < 0)
+        first[new] = batch.t - len(block) + 1 + hit.argmax(axis=0)[new]
+        left = values[-1] < top
+        if not left.any():
+            break
+        if per_trial and not left[rows].all():  # rows at their highest goals retire
+            batch.keep(left[rows])
+            rows, top_live = np.flatnonzero(left), top[left]
+
+    dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
+    return first, float(dev.max())
+
+
 def one_bit_step(
     state: SearchState,
     channel: ChannelRealization,
@@ -337,12 +410,12 @@ def run_trajectory(
 ) -> Trajectory:
     """Run the search until the stop rule fires or the step budget runs out.
 
-    This is the lockstep kernel on a single row, with the stop rule's
-    threshold as its ``done`` test: a move is kept exactly when the proposed
-    magnitude strictly exceeds the stored one, as in :func:`one_bit_step`, so
-    ``bits`` marks the steps where the stored magnitude rose. Measurement
-    noise comes from a child stream spawned from the seed, perturbations from
-    the seed's own stream.
+    This is :func:`_drive` on a single row, its goal the stop rule's
+    threshold: a move is kept exactly when the proposed magnitude strictly
+    exceeds the stored one, as in :func:`one_bit_step`, so ``bits`` marks the
+    steps where the stored magnitude rose. Measurement noise comes from a
+    child stream spawned from the seed, perturbations from the seed's own
+    stream.
 
     The threshold (if any) is also checked at t=0, so an initial point already
     past it yields a zero-step trajectory. Exhausting the budget without
@@ -352,28 +425,19 @@ def run_trajectory(
     rng = np.random.default_rng(seed)
     batch = _start([channel], init_mode, power, [rng])
     initial_theta = batch.theta[0, 0].copy()
-    initial_mag = float(batch.cur[0])
-    opt = optimal_magnitude(channel, power.P)
-    done = None
-    if stop.eps is not None or stop.alpha is not None:
-        def done(cur):
-            return stop.met(float(cur[0]), opt)
-
-    mags, thetas = [np.empty(0)], [np.empty((0, channel.n_s))]
-    for block in _lockstep(batch, spec, power, stop.max_steps, done):
-        mags.append(block[:, 0])
-        if record_thetas:
-            thetas.append(canonical_phases(batch.theta[:, 0]))
-    mags = np.concatenate(mags)
-    increments = np.diff(mags, prepend=initial_mag)
+    goal = np.array([[stop.goal(optimal_magnitude(channel, power.P))]])
+    blocks, thetas = [], [] if record_thetas else None
+    first, _ = _drive(batch, spec, power, stop.max_steps, goal, blocks, thetas)
+    mags = np.concatenate(blocks)[:, 0]  # from t = 0
+    increments = np.diff(mags)
     return Trajectory(
         power=power,
         initial_theta=initial_theta,
-        initial_mag=initial_mag,
+        initial_mag=float(mags[0]),
         final_theta=canonical_phases(batch.theta[-1, 0]),
         bits=increments > 0,
-        mags=mags,
+        mags=mags[1:],
         increments=increments,
-        converged=stop.met(float(batch.cur[0]), opt),
-        thetas=np.concatenate(thetas) if record_thetas else None,
+        converged=None if stop.eps is None and stop.alpha is None else bool(first[0, 0] >= 0),
+        thetas=np.concatenate(thetas)[1:, 0] if record_thetas else None,
     )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distbeam
-from distbeam import cli, experiments, parse_config_text
+from distbeam import cli, experiments, parse_config_text, search
 from distbeam.cli import emit_reproduction_bundle, parse_and_dispatch
 from distbeam.experiments import (
     CHANNEL_POLICIES,
@@ -297,7 +297,7 @@ def test_verify_improvement_counts_its_samples(tmp_path, monkeypatch, capsys):
 def test_eps_sample_paths_count_the_runs_outside_the_region(tmp_path, monkeypatch, capsys):
     # the run starts outside a region it never enters, so it may store a
     # value at every step to the horizon; it is refused before its first step
-    monkeypatch.setattr(experiments, "_lockstep", _no_step)
+    monkeypatch.setattr(search, "_lockstep", _no_step)
     rc = parse_and_dispatch(
         ["sample-path", "--n-s", "4", "--trials", "1", "--eps", "1e-12",
          "--horizon", "1000000000000", "--out", str(tmp_path / "x")]

@@ -225,14 +225,14 @@ def test_trial_seeds_are_pure_and_distinct():
     assert not np.array_equal(a, d)
 
 
-def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
+def manual_trajectories(cfg, n_s, horizon, stop_alpha=None):
     """Reference implementation: compose run_trajectory per trial."""
     shared = None
     if cfg.channel_policy == "fixed-across-trials":
         shared = generate_channel(
             n_s, np.random.default_rng(shared_channel_seed_sequence(cfg.master_seed, n_s))
         )
-    curves, opts = [], []
+    trajs, opts = [], []
     for k in range(cfg.trials):
         rng = np.random.default_rng(trial_seed_sequence(cfg.master_seed, n_s, k))
         ch = shared if shared is not None else generate_channel(n_s, rng)
@@ -245,9 +245,15 @@ def manual_trial_curves(cfg, n_s, horizon, stop_alpha=None):
             ch, cfg.perturbation(), cfg.power(), cfg.init_mode, stop,
             seed=rng, record_thetas=False,
         )
-        curves.append(traj.magnitudes())
+        trajs.append(traj)
         opts.append(math.sqrt(cfg.P) * ch.a.sum())
-    return curves, np.array(opts)
+    return trajs, np.array(opts)
+
+
+def manual_trial_curves(cfg, n_s, horizon):
+    """Each trial's magnitude curve from run_trajectory, and its optimum."""
+    trajs, opts = manual_trajectories(cfg, n_s, horizon)
+    return [traj.magnitudes() for traj in trajs], opts
 
 
 def lockstep_curves(cfg, n_s, horizon):
@@ -327,11 +333,14 @@ def test_engine_first_passages_match_sequential_alpha_stop():
     horizon = cfg.horizon_for(5)
     result = run_avg_convergence_sweep(cfg)[0]
     point = result.points[0]
-    curves, opts = manual_trial_curves(cfg, 5, horizon, stop_alpha=None)
-    for k in range(cfg.trials):
+    trajs, opts = manual_trajectories(cfg, 5, horizon, stop_alpha=0.9)
+    for k, traj in enumerate(trajs):
         thr = 0.9 * opts[k]
-        expected = int(np.nonzero(curves[k] >= thr)[0][0])
+        expected = int(np.nonzero(traj.magnitudes() >= thr)[0][0])
         assert point.times[k] == expected
+        # each trajectory stops on its first passage
+        assert traj.converged
+        assert traj.n_steps == point.times[k]
 
 
 def recording_lockstep(tested, stepped=None):
@@ -366,7 +375,7 @@ def test_driver_stops_on_the_step_every_value_reaches_its_goal(monkeypatch, watc
         goal = (np.add.accumulate(full, axis=0)[-1] / cfg.trials)[None, None, k]
         stay = np.ones(cfg.trials, dtype=bool)
     stepped, tested, blocks = [], [], []
-    monkeypatch.setattr(experiments, "_lockstep", recording_lockstep(tested, stepped))
+    monkeypatch.setattr(search, "_lockstep", recording_lockstep(tested, stepped))
     first, _ = _run_lockstep(cfg, 6, 50, lambda opt: goal, blocks)
     seen = list(enumerate(np.concatenate(blocks)))
     assert [t for t, _ in seen] == list(range(k + 1))
@@ -387,7 +396,7 @@ def test_a_trial_past_its_goal_keeps_its_magnitude(monkeypatch):
     goal = full[np.arange(4), done_at]
     assert np.array_equal((full >= goal[:, None]).argmax(axis=1), done_at)
     tested, blocks = [], []
-    monkeypatch.setattr(experiments, "_lockstep", recording_lockstep(tested))
+    monkeypatch.setattr(search, "_lockstep", recording_lockstep(tested))
     first, _ = _run_lockstep(cfg, 6, 60, lambda opt: goal[None], blocks)
     seen = np.concatenate(blocks)
     # tested at the start of the one 60-step chunk and after each step
@@ -448,7 +457,7 @@ def test_avg_convergence_trials_leave_the_batch_after_their_crossings(monkeypatc
             rows.extend([block.shape[1]] * len(block))
             yield block
 
-    monkeypatch.setattr(experiments, "_lockstep", counting)
+    monkeypatch.setattr(search, "_lockstep", counting)
     point = run_avg_convergence_sweep(cfg)[-1].points[0]
     assert point.censored == 0
     assert all(b <= a for a, b in zip(rows, rows[1:]))
@@ -625,7 +634,7 @@ def test_hitting_time_stops_at_the_top_alpha_crossing(monkeypatch, sigma2, horiz
             stepped[-1] += len(block)
             yield block
 
-    monkeypatch.setattr(experiments, "_lockstep", counting)
+    monkeypatch.setattr(search, "_lockstep", counting)
     results = run_hitting_time_sweep(cfg)
     monkeypatch.undo()
     for i, n_s in enumerate(cfg.n_s_values):

@@ -129,6 +129,14 @@ def test_improvement_probability_respects_given_gamma():
         )
 
 
+@pytest.mark.parametrize("delta0", [math.inf, 3.5, 0.0, math.nan], ids=["inf", "3.5", "0", "nan"])
+def test_improvement_probability_refuses_a_delta0_the_search_refuses(delta0):
+    ch = generate_channel(6, np.random.default_rng(2))
+    theta = np.random.default_rng(3).uniform(0, TWO_PI, 6)
+    with pytest.raises(ValueError, match=r"delta0 must be in \(0, pi\]"):
+        estimate_improvement_probability(ch, theta, 1.0, delta0, eps=0.1, samples=100)
+
+
 def test_improvement_probability_rejects_in_region_probe():
     ch = ChannelRealization(a=[1.0, 1.0], phi=[0.4, 0.4])
     est = estimate_improvement_probability(

@@ -18,6 +18,7 @@ def test_quick_start_runs():
     converged, n_steps, fraction = out.getvalue().split()
     assert converged == "True"
     assert 0 < int(n_steps) <= 2000
+    assert int(n_steps) == 285
     assert float(fraction) >= 0.9
 
 

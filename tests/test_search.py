@@ -305,6 +305,14 @@ def test_stop_rule_validation():
         StopRule(10, eps=0.0)
 
 
+@pytest.mark.parametrize("max_steps", [2.5, np.float64(3.0), True, False],
+                         ids=["2.5", "float64-3.0", "True", "False"])
+def test_stop_rule_refuses_a_budget_that_is_not_a_whole_number(max_steps):
+    # caught when the rule is built, not inside the kernel, and a bool is no count
+    with pytest.raises(ValueError, match="max_steps must be an integer >= 0"):
+        StopRule(max_steps)
+
+
 @pytest.mark.parametrize("delta0", [0.2, math.pi / 90, math.pi], ids=["0.2", "pi/90", "pi"])
 @pytest.mark.parametrize("amps", [[2.0], [0.0, 2.0], [2.0, 0.0]], ids=["2", "0,2", "2,0"])
 def test_one_nonzero_transmitter_ties_exactly(amps, delta0):
