@@ -245,10 +245,9 @@ _SAMPLE_VALUE_BYTES = 168
 
 def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
                 rows: int | None = None) -> None:
-    """Refuse a run of ``rows`` (by default ``config.trials``) up front, before
-    any per-row object exists, when its phasors, per-row objects, slot
-    buffers and the ``held_bytes`` its study keeps alone exceed physical
-    memory."""
+    """Refuse a run of ``rows`` (by default ``config.trials``) when its
+    phasors, per-row objects, slot buffers and the ``held_bytes`` its study
+    keeps alone exceed physical memory."""
     rows = config.trials if rows is None else rows
     slots = config.averaging_slots if config.sigma2 > 0 else 0
     need = rows * (16 * n_s + _SLOT_BYTES * slots + _ROW_OBJECT_BYTES) + held_bytes
@@ -265,10 +264,14 @@ def _run_lockstep(
     runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``: its
     channel (unless shared), initial phases and perturbations, in that order.
 
-    ``blocks``, when given, collects the driver's blocks of stored estimates;
-    the run is refused before its first step when the values of its trials
-    short of their highest goals at t = 0, held to ``horizon``, do not fit.
+    ``blocks``, when given, collects the driver's blocks of stored estimates.
+    The run is refused before any row exists when its rows do not fit, with
+    every trial's values held to ``horizon`` under a budget run's +inf goal;
+    and before its first step when those of its trials short of their highest
+    goals at t = 0 do not fit.
     """
+    held = (horizon + 1) * _SAMPLE_VALUE_BYTES  # one trial's value at every step
+    _check_fits(config, n_s, held * config.trials * (blocks is not None and config.eps is None))
     shared = None
     if config.channel_policy == "fixed-across-trials":
         seed = shared_channel_seed_sequence(config.master_seed, n_s)
@@ -283,8 +286,7 @@ def _run_lockstep(
     batch.theta = None  # no study reads phases
     goal = np.asarray(goals(math.sqrt(config.P) * batch.amps.sum(axis=1)), dtype=float)
     if blocks is not None:  # a trial short of its goals may store a value every step
-        short = int((batch.cur < goal.max(axis=0)).sum())
-        _check_fits(config, n_s, (horizon + 1) * short * _SAMPLE_VALUE_BYTES)
+        _check_fits(config, n_s, held * int((batch.cur < goal.max(axis=0)).sum()))
     return _drive(batch, config.perturbation(), power, horizon, goal, blocks)
 
 
@@ -299,11 +301,6 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
         raise ValueError(f"config kind is {config.kind!r}, expected 'sample-path'")
     n_s = config.single_n_s()
     horizon = config.horizon_for(n_s)
-    # a budget run holds every curve to the horizon, and is refused before any
-    # row exists; an eps run holds those of its runs outside the region at
-    # t = 0, which the driver counts once it has measured them
-    held = (horizon + 1) * config.trials * _SAMPLE_VALUE_BYTES
-    _check_fits(config, n_s, 0 if config.eps is not None else held)
     stop = StopRule(horizon, eps=config.eps)  # a budget run's goal is +inf
     blocks = []
     first, _ = _run_lockstep(config, n_s, horizon, lambda opt: stop.goal(opt)[None], blocks)
@@ -319,7 +316,6 @@ def _sweep(config: ExperimentConfig, goals: Callable) -> tuple[list[np.ndarray],
     """Each n_s's first passages over ``goals`` and the worst telescoping error."""
     firsts, max_dev = [], 0.0
     for n_s in config.n_s_values:
-        _check_fits(config, n_s)
         first, dev = _run_lockstep(config, n_s, config.horizon_for(n_s), goals)
         firsts.append(first)
         max_dev = max(max_dev, dev)

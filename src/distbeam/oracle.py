@@ -21,6 +21,7 @@ from .channel import (
     TWO_PI,
     ChannelRealization,
     SeedLike,
+    _whole,
     canonical_phases,
     epsilon_region_contains,
     magnitude,
@@ -186,8 +187,7 @@ def estimate_improvement_probability(
     evaluated in slices of the search kernel's draw budget; only one float a
     sample, its improvement, outlives its slice.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _whole("samples", samples, 1)
     PerturbationSpec(delta0)  # the search's own check
     theta = canonical_phases(theta)
     mag0 = magnitude(channel, theta, P)

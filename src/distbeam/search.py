@@ -5,15 +5,15 @@ magnitude at the perturbed phases, and keep the move exactly when the
 proposed magnitude strictly exceeds the stored one (ties discard). That one
 keep rule never lets the stored magnitude fall.
 
-One lockstep kernel, :func:`_lockstep`, runs this loop on a (trials, n_s)
-batch. One driver, :func:`_drive`, steps it toward declared goals, finds first
-passages, retires rows and stops the run: a trajectory is the driver on one
-row, a study the driver on one row per trial.
+One kernel, :func:`_chunk`, runs a chunk of this loop's steps on a
+(trials, n_s) batch. One driver, :func:`_drive`, is the one loop over chunks:
+it sizes them, steps toward declared goals, finds first passages, retires rows
+and stops the run. A trajectory is the driver on one row, a study the driver
+on one row per trial.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,35 +224,18 @@ def _start(channels, init_mode, power: PowerConfig, rngs) -> _Batch:
     return _Batch(amps, theta[None], w, cur, rngs, noise_rngs)
 
 
-def _lockstep(batch: _Batch, spec, power, max_steps: int, done=None):
-    """Advance ``batch`` in place by propose -> measure -> keep, one chunk of
-    steps at a time. Each chunk yields a (steps, rows) block: the stored
-    estimates after each of its steps.
+def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
+    """Advance ``batch`` in place by up to ``size`` steps of propose ->
+    measure -> keep, ending after the first step where ``done(cur)``, when
+    given, holds on the stored estimates; returns the (steps, rows) block of
+    stored estimates after each step run.
 
     Row k perturbs every phase with a draw from ``spec`` on
     ``batch.rngs[k]``, measures the proposal with slot noise from
     ``batch.noise_rngs[k]``, and keeps the move exactly when the proposed
     estimate strictly exceeds the stored one; so a row's stored estimate
-    rises exactly on a keep. Steps run up to ``max_steps``. ``done(cur)``,
-    when given, is tested on the stored estimates at each chunk start and
-    after every step: once it holds the block ends there, and the generator
-    returns. The kernel steps the rows the batch holds; a caller drops rows
-    with :meth:`_Batch.keep` between blocks.
-
-    A chunk holds up to ``_CHUNK`` steps and ``_CHUNK_VALUES`` draws across
-    rows; chunking leaves the streams as they are.
-    """
-    n_s = batch.w.shape[1]
-    slots = 2 * power.averaging_slots if power.sigma2 > 0 else 0
-    while batch.t < max_steps and not (done is not None and done(batch.cur)):
-        size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(batch.cur) * (n_s + slots))),
-                   max_steps - batch.t)
-        yield _chunk(batch, spec, power, size, done)
-
-
-def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
-    """Run up to ``size`` steps of :func:`_lockstep` on ``batch``, ending
-    after the first step where ``done`` holds; returns their block.
+    rises exactly on a keep. The kernel steps the rows the batch holds, and
+    how steps are cut into chunks leaves the streams as they are.
 
     Each row's uniform draws land in one chunk buffer, mapped to
     [-delta0, delta0] in one pass as ``Generator.uniform`` maps them.
@@ -338,12 +321,14 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas
         def done(cur):  # summed in row order, as the recorded CSVs were
             return np.add.accumulate(cur)[-1] / n_rows >= top_mean
 
+    stop = None if np.isinf(top).all() else done  # a +inf goal never stops a chunk
+    values_per_row = batch.w.shape[1] + (2 * power.averaging_slots if power.sigma2 > 0 else 0)
     initial = batch.cur.copy()
     last = initial.copy()
     inc_sum = np.zeros(n_rows)
     rows = slice(None)  # the column of each batch row: all of them until one retires
-    chunks = _lockstep(batch, spec, power, max_steps, None if np.isinf(top).all() else done)
-    for block in itertools.chain([initial[None]], chunks):  # t = 0, then each chunk
+    block = initial[None]  # t = 0, then each chunk
+    while True:
         # each step's increments (0 on discard), added to the running sum in step order
         incs = np.diff(block, axis=0, prepend=last[rows][None])
         incs[0] += inc_sum[rows]
@@ -363,11 +348,14 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas
         new = hit[-1] & (first < 0)
         first[new] = batch.t - len(block) + 1 + hit.argmax(axis=0)[new]
         left = values[-1] < top
-        if not left.any():
+        if not left.any() or batch.t >= max_steps:
             break
         if per_trial and not left[rows].all():  # rows at their highest goals retire
             batch.keep(left[rows])
             rows, top_live = np.flatnonzero(left), top[left]
+        size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(batch.cur) * values_per_row)),
+                   max_steps - batch.t)
+        block = _chunk(batch, spec, power, size, stop)
 
     dev = np.abs(last - (initial + inc_sum)) / np.maximum(last, 1e-30)
     return first, float(dev.max())
@@ -392,7 +380,7 @@ def one_bit_step(
     amps = channel.a[None]
     batch = _Batch(amps, state.theta[None, None], phasors(amps, state.theta[None]),
                    np.array([state.current_mag]), [rng], [rng], state.step_index)
-    mag = next(_lockstep(batch, spec, power, batch.t + 1))[0, 0]
+    mag = _chunk(batch, spec, power, 1, None)[0, 0]
     if mag > state.current_mag:  # the stored estimate rose: the move was kept
         new_state = SearchState(canonical_phases(batch.theta[-1, 0]), float(mag), batch.t)
         return new_state, True, float(mag - state.current_mag)

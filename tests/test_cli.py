@@ -202,9 +202,9 @@ def test_out_of_memory_names_only_the_sizes_the_run_reads(argv, sizes, tmp_path,
 )
 def test_noisy_runs_count_their_slot_noise(kind, slot_bytes, tmp_path, monkeypatch, capsys):
     # one step's slot_bytes per averaging slot for the two rows take twice
-    # physical memory; the run is refused before it starts stepping
+    # physical memory; the run is refused before any row is measured
     slots = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // slot_bytes
-    monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
+    monkeypatch.setattr(experiments, "_start", _no_step)
     rc = parse_and_dispatch(
         [kind, "--n-s", "2", "--trials", "2", "--sigma2", "0.1", "--averaging-slots", str(slots),
          "--out", str(tmp_path / "x")]
@@ -267,9 +267,9 @@ def test_settings_a_run_cannot_honour_exit_1_naming_key(argv, key, tmp_path, mon
 def test_budget_sample_paths_count_their_row_objects_and_csv_text(tmp_path, monkeypatch,
                                                                   capsys):
     # the curve's floats take a quarter of physical memory; with the CSV text
-    # of every value they do not fit
+    # of every value they do not fit, and the run is refused before any row is measured
     horizon = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 32
-    monkeypatch.setattr(experiments, "_run_lockstep", _no_step)
+    monkeypatch.setattr(experiments, "_start", _no_step)
     rc = parse_and_dispatch(
         ["sample-path", "--n-s", "4", "--trials", "1", "--horizon", str(horizon),
          "--out", str(tmp_path / "x")]
@@ -297,7 +297,7 @@ def test_verify_improvement_counts_its_samples(tmp_path, monkeypatch, capsys):
 def test_eps_sample_paths_count_the_runs_outside_the_region(tmp_path, monkeypatch, capsys):
     # the run starts outside a region it never enters, so it may store a
     # value at every step to the horizon; it is refused before its first step
-    monkeypatch.setattr(search, "_lockstep", _no_step)
+    monkeypatch.setattr(search, "_chunk", _no_step)
     rc = parse_and_dispatch(
         ["sample-path", "--n-s", "4", "--trials", "1", "--eps", "1e-12",
          "--horizon", "1000000000000", "--out", str(tmp_path / "x")]

@@ -31,7 +31,7 @@ from distbeam.experiments import (
     INIT_MODES,
     _run_lockstep,
 )
-from distbeam.search import _CHUNK, _CHUNK_VALUES, _lockstep
+from distbeam.search import _CHUNK, _CHUNK_VALUES, _chunk
 
 
 def small_config(**kw):
@@ -343,17 +343,17 @@ def test_engine_first_passages_match_sequential_alpha_stop():
         assert traj.n_steps == point.times[k]
 
 
-def recording_lockstep(tested, stepped=None):
+def recording_chunk(tested, stepped=None):
     """The kernel, recording what it tests done on and the steps it runs."""
-    def counting(batch, spec, power, max_steps, done):
+    def counting(batch, spec, power, size, done):
         def recorded(cur):
             tested.append(cur.copy())
             return done(cur)
 
-        for block in _lockstep(batch, spec, power, max_steps, recorded):
-            if stepped is not None:
-                stepped.extend(range(batch.t - len(block) + 1, batch.t + 1))
-            yield block
+        block = _chunk(batch, spec, power, size, recorded)
+        if stepped is not None:
+            stepped.extend(range(batch.t - len(block) + 1, batch.t + 1))
+        return block
 
     return counting
 
@@ -361,8 +361,8 @@ def recording_lockstep(tested, stepped=None):
 @pytest.mark.parametrize("k", [0, 2, 37])
 @pytest.mark.parametrize("watch", ["each", "mean"])
 def test_driver_stops_on_the_step_every_value_reaches_its_goal(monkeypatch, watch, k):
-    # the 50 steps are one chunk: the kernel tests done at its start and after
-    # each step, and the run stops on the first step where each trial's
+    # the 50 steps are one chunk: the kernel tests done after each step, and
+    # the run stops on the first step where each trial's
     # estimate, or their mean, is at its goal, its value at step k; some
     # trial rises at step k
     cfg = small_config(trials=3)
@@ -375,17 +375,17 @@ def test_driver_stops_on_the_step_every_value_reaches_its_goal(monkeypatch, watc
         goal = (np.add.accumulate(full, axis=0)[-1] / cfg.trials)[None, None, k]
         stay = np.ones(cfg.trials, dtype=bool)
     stepped, tested, blocks = [], [], []
-    monkeypatch.setattr(search, "_lockstep", recording_lockstep(tested, stepped))
+    monkeypatch.setattr(search, "_chunk", recording_chunk(tested, stepped))
     first, _ = _run_lockstep(cfg, 6, 50, lambda opt: goal, blocks)
     seen = list(enumerate(np.concatenate(blocks)))
     assert [t for t, _ in seen] == list(range(k + 1))
     assert stepped == list(range(1, k + 1))
     # a stop at t = 0 leaves the kernel untested
-    assert len(tested) == (k + 1 if k else 0)
+    assert len(tested) == k
     assert first.max() == k
     for t, cur in seen:
         assert np.array_equal(cur, full[:, t])
-    for t, cur in enumerate(tested):
+    for t, cur in enumerate(tested, start=1):
         assert np.array_equal(cur, full[stay, t])
 
 
@@ -396,11 +396,11 @@ def test_a_trial_past_its_goal_keeps_its_magnitude(monkeypatch):
     goal = full[np.arange(4), done_at]
     assert np.array_equal((full >= goal[:, None]).argmax(axis=1), done_at)
     tested, blocks = [], []
-    monkeypatch.setattr(search, "_lockstep", recording_lockstep(tested))
+    monkeypatch.setattr(search, "_chunk", recording_chunk(tested))
     first, _ = _run_lockstep(cfg, 6, 60, lambda opt: goal[None], blocks)
     seen = np.concatenate(blocks)
-    # tested at the start of the one 60-step chunk and after each step
-    assert [len(cur) for cur in tested] == [3] * (done_at.max() + 1)
+    # tested after each step of the one 60-step chunk
+    assert [len(cur) for cur in tested] == [3] * done_at.max()
     # the run stops once every trial is past its goal
     assert len(seen) == done_at.max() + 1
     assert np.array_equal(first[0], done_at)
@@ -453,11 +453,11 @@ def test_avg_convergence_trials_leave_the_batch_after_their_crossings(monkeypatc
     rows = []  # the rows of each step run
 
     def counting(batch, *args):
-        for block in _lockstep(batch, *args):
-            rows.extend([block.shape[1]] * len(block))
-            yield block
+        block = _chunk(batch, *args)
+        rows.extend([block.shape[1]] * len(block))
+        return block
 
-    monkeypatch.setattr(search, "_lockstep", counting)
+    monkeypatch.setattr(search, "_chunk", counting)
     point = run_avg_convergence_sweep(cfg)[-1].points[0]
     assert point.censored == 0
     assert all(b <= a for a, b in zip(rows, rows[1:]))
@@ -626,15 +626,14 @@ def test_hitting_time_stops_at_the_top_alpha_crossing(monkeypatch, sigma2, horiz
         n_s_values=(4, 12), trials=6, alpha=(0.5, 0.7, 0.9), horizon=horizon,
         sigma2=sigma2, averaging_slots=2,
     )
-    stepped = []  # the steps each n_s's batch runs
+    stepped = dict.fromkeys(cfg.n_s_values, 0)  # the steps each n_s's batch runs
 
     def counting(batch, *args):
-        stepped.append(0)
-        for block in _lockstep(batch, *args):
-            stepped[-1] += len(block)
-            yield block
+        block = _chunk(batch, *args)
+        stepped[batch.w.shape[1]] += len(block)
+        return block
 
-    monkeypatch.setattr(search, "_lockstep", counting)
+    monkeypatch.setattr(search, "_chunk", counting)
     results = run_hitting_time_sweep(cfg)
     monkeypatch.undo()
     for i, n_s in enumerate(cfg.n_s_values):
@@ -647,7 +646,7 @@ def test_hitting_time_stops_at_the_top_alpha_crossing(monkeypatch, sigma2, horiz
             p = res.points[i]
             assert p.hitting_time == (int(hits[0]) if hits.size else None)
         top = results[-1].points[i].hitting_time
-        assert stepped[i] == (horizon if top is None else top)
+        assert stepped[n_s] == (horizon if top is None else top)
     assert results[-1].points[0].hitting_time is not None
     assert results[-1].points[1].hitting_time is None
 

@@ -137,6 +137,15 @@ def test_improvement_probability_refuses_a_delta0_the_search_refuses(delta0):
         estimate_improvement_probability(ch, theta, 1.0, delta0, eps=0.1, samples=100)
 
 
+@pytest.mark.parametrize("samples", [0, 2.5, True, np.float64(100.0)],
+                         ids=["0", "2.5", "True", "np.float64"])
+def test_improvement_probability_refuses_samples_that_are_not_a_count(samples):
+    ch = generate_channel(6, np.random.default_rng(2))
+    theta = np.random.default_rng(3).uniform(0, TWO_PI, 6)
+    with pytest.raises(ValueError, match=r"samples must be an integer >= 1"):
+        estimate_improvement_probability(ch, theta, 1.0, math.pi / 30, eps=0.1, samples=samples)
+
+
 def test_improvement_probability_rejects_in_region_probe():
     ch = ChannelRealization(a=[1.0, 1.0], phi=[0.4, 0.4])
     est = estimate_improvement_probability(

@@ -19,8 +19,9 @@ from distbeam import (
     run_trajectory,
     sample_perturbation,
 )
+from distbeam import search
 from distbeam.channel import coherent_magnitude, phasors, rotations
-from distbeam.search import _lockstep, _start
+from distbeam.search import _CHUNK, _CHUNK_VALUES, _chunk, _drive, _start
 
 POWER = PowerConfig()
 
@@ -203,6 +204,45 @@ def test_noiseless_hand_stepping_matches_run_trajectory(n_s):
         assert np.max(np.abs(np.array(mags) - traj.mags)) <= tol
 
 
+@pytest.mark.parametrize(
+    "power,initial_mag,steps,final_theta",
+    [
+        (PowerConfig(P=2.5, sigma2=0.05, averaging_slots=3), 2.454009179142314,
+         [(True, 2.7849676090655797), (True, 3.2740089537081407), (True, 3.866189874028226),
+          (False, 3.866189874028226), (False, 3.866189874028226), (True, 3.981297957290026),
+          (False, 3.981297957290026), (True, 4.214748296030595), (False, 4.214748296030595),
+          (False, 4.214748296030595)],
+         [6.155377965879536, 1.9135309117819608, 5.415935336141321, 4.039454451807754]),
+        (PowerConfig(sigma2=0.01), 1.614122528574489,
+         [(False, 1.614122528574489), (True, 2.0695386773342546), (True, 2.336959145165465),
+          (False, 2.336959145165465), (True, 2.7886379146569182), (False, 2.7886379146569182),
+          (False, 2.7886379146569182), (False, 2.7886379146569182), (False, 2.7886379146569182),
+          (True, 3.0231816255989603)],
+         [0.33795184264655914, 1.3102561849817358, 5.130092631774447, 4.555177161701136]),
+    ],
+    ids=["k3", "k1"],
+)
+def test_noisy_hand_stepping_is_pinned(power, initial_mag, steps, final_theta):
+    # init_state then ten one_bit_steps on one generator, which draws the
+    # initial phases and measurement, then each step's perturbation and slot noise
+    ch = ChannelRealization(a=[1.0, 0.5, 2.0, 1.5], phi=[0.1, 2.0, 4.0, 5.5])
+    spec = PerturbationSpec(delta0=math.pi / 10)
+    rng = np.random.default_rng(3)
+    state = init_state(ch, "uniform", power, rng)
+    assert state.theta.tolist() == [0.5381495885689892, 1.4879242956303682, 5.034555946803014,
+                                    3.6578319513973883]
+    assert state.current_mag == initial_mag
+    seen = []
+    for _ in steps:
+        prev = state.current_mag
+        state, kept, inc = one_bit_step(state, ch, spec, power, rng)
+        assert inc == state.current_mag - prev
+        seen.append((kept, state.current_mag))
+    assert seen == steps
+    assert state.theta.tolist() == final_theta
+    assert state.step_index == len(steps)
+
+
 def test_trajectory_monotone_and_telescoping():
     ch = generate_channel(8, np.random.default_rng(10))
     traj = run_trajectory(
@@ -356,19 +396,57 @@ def _batch(n_s, rows, power, seed):
 def test_a_block_ends_on_the_step_where_done_first_holds(target):
     # eight rows of n_s = 16 step in 256-step chunks, and their mean rises at
     # each target step k, so done holds from step k on and never before it
-    spec, power, horizon, k = PerturbationSpec(delta0=math.pi / 30), POWER, 600, target
+    spec, power, k = PerturbationSpec(delta0=math.pi / 30), POWER, target
     batch = _batch(16, 8, power, 1)
-    curve = np.concatenate([batch.cur[None]] + list(_lockstep(batch, spec, power, horizon)))
+    curve = np.concatenate([batch.cur[None]]
+                           + [_chunk(batch, spec, power, size, None) for size in (256, 256, 88)])
     means = curve.mean(axis=1)
     assert means[k] > means[k - 1]
 
     batch = _batch(16, 8, power, 1)
-    run = _lockstep(batch, spec, power, horizon, lambda cur: cur.mean() >= means[k])
-    blocks = list(run)  # the generator returns after the block that ends at step k
+    blocks = []
+
+    def done(cur):
+        return cur.mean() >= means[k]
+
+    while not done(batch.cur):  # a chunk ends on step k, and no chunk runs past it
+        blocks.append(_chunk(batch, spec, power, 256, done))
     assert [len(b) for b in blocks] == [256] * (k // 256) + ([k % 256] if k % 256 else [])
     assert batch.t == k
     assert np.array_equal(np.concatenate(blocks), curve[1:k + 1])
-    assert next(run, None) is None
+
+
+@pytest.mark.parametrize(
+    "power,sizes",
+    [
+        (POWER, [(0, 8, 81), (81, 8, 81), (162, 5, 131), (293, 5, 107)]),
+        (PowerConfig(P=2.5, sigma2=0.05, averaging_slots=20),
+         [(0, 8, 68), (68, 8, 68), (136, 5, 109), (245, 5, 109), (354, 5, 46)]),
+    ],
+    ids=["noiseless", "noisy"],
+)
+def test_driver_sizes_each_chunk_to_its_live_rows_draws(monkeypatch, power, sizes):
+    # eight rows of n_s = 200 step to 400; three reach their goals, their
+    # estimates at step 119, by step 119 and retire after the block holding
+    # it. A chunk draws n_s perturbations and, with noise, 2k slot values a
+    # row a step, up to _CHUNK_VALUES across the rows it holds
+    spec, horizon = PerturbationSpec(delta0=math.pi / 30), 400
+    curve = _chunk(_batch(200, 8, power, 4), spec, power, horizon, None)
+    goal = np.full((1, 8), np.inf)
+    goal[0, :3] = curve[119, :3]
+    seen = []
+
+    def recording(batch, spec, power, size, done):
+        seen.append((batch.t, len(batch.cur), size))
+        return _chunk(batch, spec, power, size, done)
+
+    monkeypatch.setattr(search, "_chunk", recording)
+    first, _ = _drive(_batch(200, 8, power, 4), spec, power, horizon, goal)
+    assert first[0, 3:].tolist() == [-1] * 5 and first[0, :3].max() == 119
+    assert seen == sizes
+    per_row = 200 + (2 * power.averaging_slots if power.sigma2 > 0 else 0)
+    for t, rows, size in seen:
+        assert size == min(_CHUNK, max(1, _CHUNK_VALUES // (rows * per_row)), horizon - t)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -378,8 +456,7 @@ def test_kernel_noisy_estimates_match_coherent_magnitude(k):
     spec, steps = PerturbationSpec(delta0=math.pi / 30), 40
     power = PowerConfig(P=2.5, sigma2=0.05, averaging_slots=k)
     batch = _batch(5, 3, power, 11)
-    blocks = list(_lockstep(batch, spec, power, steps))
-    assert len(blocks) == 1  # one chunk: each row's perturbations, then its slot noise
+    block = _chunk(batch, spec, power, steps, None)  # each row's perturbations, then its noise
     ref = _batch(5, 3, power, 11)
     deltas = np.stack([rng.uniform(-spec.delta0, spec.delta0, (steps, 5)) for rng in ref.rngs],
                       axis=1)
@@ -392,7 +469,7 @@ def test_kernel_noisy_estimates_match_coherent_magnitude(k):
         keep = pm > cur
         w, cur = np.where(keep[:, None], proposed, w), np.where(keep, pm, cur)
         kept += keep.sum()
-        assert np.array_equal(blocks[0][t], cur)
+        assert np.array_equal(block[t], cur)
     assert 0 < kept < 3 * steps
 
 
@@ -405,14 +482,13 @@ def test_dropped_rows_leave_with_their_streams(power):
     # on with their own generators and tracked phases, as if never batched
     spec = PerturbationSpec(delta0=math.pi / 30)
     ref = _batch(6, 4, power, 5)
-    full = np.concatenate(list(_lockstep(ref, spec, power, 300)))
+    full = np.concatenate([_chunk(ref, spec, power, size, None) for size in (256, 44)])
     batch = _batch(6, 4, power, 5)
-    run = _lockstep(batch, spec, power, 300)
-    blocks = [next(run)]
+    first = _chunk(batch, spec, power, 256, None)
     batch.keep([True, False, True, False])
-    blocks += list(run)
-    assert len(blocks) == 2 and len(batch.rngs) == 2
-    assert np.array_equal(np.concatenate([blocks[0][:, [0, 2]]] + blocks[1:]), full[:, [0, 2]])
+    assert len(batch.rngs) == 2
+    rest = _chunk(batch, spec, power, 44, None)
+    assert np.array_equal(np.concatenate([first[:, [0, 2]], rest]), full[:, [0, 2]])
     assert np.array_equal(batch.theta, ref.theta[:, [0, 2]])
 
 
