@@ -18,13 +18,24 @@ SeedLike = int | np.random.SeedSequence | np.random.Generator | None
 
 
 def canonical_phases(theta) -> np.ndarray:
-    """Reduce phases to [0, 2pi).
+    """Reduce phases to [0, 2pi): a new float array (0-d for a scalar).
 
-    ``remainder(x, 2pi)`` can round up to exactly 2pi for tiny negative x;
-    those entries are snapped to 0 so the half-open invariant holds.
+    Bit for bit this is ``remainder(x, 2pi)``, except that a tiny negative x,
+    which remainder rounds up to 2pi, gives 0. When every x lies in (-2pi, 4pi),
+    as a phase plus a perturbation or a shift does, exact adds replace the
+    division: on [0, 2pi) remainder is x, and x + 0.0 turns -0.0 into +0.0 as
+    remainder does; on [2pi, 4pi) fmod and x - 2pi are both exact (Sterbenz's
+    lemma); on (-2pi, 0) fmod is x and remainder adds 2pi with one rounding,
+    which is x + 2pi. Other input, NaN and infinities included, takes remainder.
     """
-    out = np.remainder(np.asarray(theta, dtype=float), TWO_PI)
-    out[out >= TWO_PI] = 0.0
+    x = np.asarray(theta, dtype=float)
+    out = np.empty_like(x)  # filled whole before any where= writes into it
+    if x.size and -TWO_PI < x.min() and x.max() < 2.0 * TWO_PI:  # NaN fails both
+        np.add(x, 0.0, out=out)
+        np.add(out, TWO_PI, out=out, where=out < 0.0)
+    else:
+        np.remainder(x, TWO_PI, out=out)
+    np.subtract(out, TWO_PI, out=out, where=out >= TWO_PI)  # a rounded-up 2pi becomes 0.0
     return out
 
 
@@ -206,8 +217,7 @@ def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:
     re = scale * rng.standard_normal(n_s)
     im = scale * rng.standard_normal(n_s)
     a = np.hypot(re, im)
-    phi = canonical_phases(np.arctan2(im, re))
-    return ChannelRealization(a=a, phi=phi)
+    return ChannelRealization(a=a, phi=np.arctan2(im, re))  # ChannelRealization reduces phi
 
 
 def epsilon_region_contains(

@@ -42,9 +42,9 @@ class GridSpec:
     n_s: int
 
     def __post_init__(self):
-        if self.resolution < 8:
-            raise ValueError("resolution must be >= 8")
-        if not 1 <= self.n_s <= 4:
+        _whole("resolution", self.resolution, 8)
+        _whole("n_s", self.n_s, 1)
+        if self.n_s > 4:
             raise ValueError("grid verification supports n_s <= 4")
         if self.resolution ** max(self.n_s - 1, 0) > 10**8:
             raise ValueError("grid too large: resolution**(n_s-1) must be <= 1e8")
@@ -198,9 +198,9 @@ def estimate_improvement_probability(
         improvements = np.empty(samples)
         for start in range(0, samples, rows):  # sliced draws equal one draw of all
             part = improvements[start:start + rows]
-            deltas = rng.uniform(-delta0, delta0, (len(part), channel.n_s))
-            np.subtract(magnitude_batch(channel, canonical_phases(theta + deltas), P), mag0,
-                        out=part)
+            phases = rng.uniform(-delta0, delta0, (len(part), channel.n_s))
+            phases += theta
+            np.subtract(magnitude_batch(channel, canonical_phases(phases), P), mag0, out=part)
         if gamma is None:
             positive = improvements[improvements > 0]
             gamma_hat = float(np.median(positive, overwrite_input=True)) if positive.size else None
@@ -243,8 +243,7 @@ def verify_shift_invariance(
 ) -> ShiftInvarianceReport:
     """Max |Mag(theta + c e) - Mag(theta)| over random (theta, c) pairs,
     relative to the optimum; must sit at double-precision noise."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _whole("trials", trials, 1)
     rng = np.random.default_rng(rng)
     thetas = rng.uniform(0.0, TWO_PI, (trials, channel.n_s))
     shifts = rng.uniform(0.0, TWO_PI, trials)

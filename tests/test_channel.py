@@ -198,6 +198,54 @@ def test_canonical_phases_edges():
     assert out[2] == 0.0
 
 
+def test_canonical_phases_of_a_scalar_is_a_0d_array():
+    for x, expected in ((3.0, 3.0), (np.float64(-1.0), TWO_PI - 1.0), (-50, 8 * TWO_PI - 50.0)):
+        out = canonical_phases(x)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert 0.0 <= out < TWO_PI and out == pytest.approx(expected, abs=1e-12)
+
+
+_PHASE_EDGES = [-0.0, 0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), 2 * TWO_PI,
+                np.nextafter(2 * TWO_PI, 0.0), np.nextafter(-TWO_PI, -1.0), -1.5 * TWO_PI,
+                3 * TWO_PI, 50.0, -50.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+_phase_values = st.one_of(
+    st.floats(min_value=-TWO_PI, max_value=2 * TWO_PI, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-1e-15, max_value=0.0, exclude_max=True),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.sampled_from(_PHASE_EDGES),
+)
+
+
+def _remainder_with_snap(x):
+    ref = np.array(np.remainder(np.asarray(x, dtype=float), TWO_PI))
+    ref[ref >= TWO_PI] = 0.0
+    return ref
+
+
+@given(st.data(), st.sampled_from([(), (0,), (1,), (7,), (2, 3, 4)]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_canonical_phases_is_remainder_bit_for_bit(data, shape, strided):
+    x = np.array(data.draw(st.lists(_phase_values, min_size=math.prod(shape),
+                                    max_size=math.prod(shape))), dtype=float).reshape(shape)
+    if strided:  # a non-contiguous view of the same values
+        x = np.stack([x, np.ones_like(x)], axis=-1)[..., 0]
+    before = x.copy()
+    with np.errstate(invalid="ignore"):  # remainder of an infinity is NaN
+        out, expected = canonical_phases(x), _remainder_with_snap(x)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(x.view(np.int64), before.view(np.int64))  # the input is left as it was
+    assert not np.shares_memory(out, x)
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_canonical_phases_of_integers_is_remainder_bit_for_bit(values):
+    x = np.array(values, dtype=np.int64)
+    out = canonical_phases(x)
+    assert np.array_equal(out.view(np.int64), _remainder_with_snap(x).view(np.int64))
+
+
 def test_measure_noiseless_is_bit_identical():
     rng = np.random.default_rng(5)
     ch = generate_channel(8, rng)

@@ -39,6 +39,23 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(resolution=1000, n_s=4)  # 1e9 grid points
     assert GridSpec(resolution=464, n_s=4).cell == pytest.approx(TWO_PI / 464)
+    assert GridSpec(resolution=np.int64(16), n_s=np.int32(2)).cell == TWO_PI / 16  # NumPy ints pass
+
+
+@pytest.mark.parametrize("resolution, n_s, key", [
+    (8.5, 3, "resolution"), (16.0, 2, "resolution"), (True, 2, "resolution"),
+    (16, 2.0, "n_s"), (16, np.float64(3.0), "n_s"), (16, True, "n_s"), (16, 0, "n_s"),
+])
+def test_grid_spec_refuses_sizes_that_are_not_whole_numbers(resolution, n_s, key):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        GridSpec(resolution=resolution, n_s=n_s)
+
+
+@pytest.mark.parametrize("trials", [2.5, True, np.float64(3.0), 0, -1])
+def test_shift_invariance_refuses_trials_that_are_not_whole_numbers(trials):
+    ch = generate_channel(3, np.random.default_rng(9))
+    with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
+        verify_shift_invariance(ch, 1.0, trials=trials, rng=np.random.default_rng(10))
 
 
 def test_two_element_grid_has_no_nonglobal_maxima():
