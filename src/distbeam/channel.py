@@ -210,8 +210,7 @@ def measure_magnitude(
 
 def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:
     """Draw h_i i.i.d. complex Gaussian, zero mean, unit variance (E|h|^2 = 1)."""
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
+    _whole("n_s", n_s, 1)
     rng = np.random.default_rng(rng)
     scale = math.sqrt(0.5)
     re = scale * rng.standard_normal(n_s)

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    TWO_PI,
-    epsilon_region_contains,
-    generate_channel,
-    optimal_magnitude,
-)
+from .channel import generate_channel, optimal_magnitude
 from .experiments import (
     CONFIG_SCHEMA,
     EXPERIMENT_KINDS,
@@ -41,6 +36,7 @@ from .experiments import (
 from .oracle import (
     GridSpec,
     estimate_improvement_probability,
+    random_probe,
     verify_local_equals_global,
     verify_monotone_and_increment,
     verify_shift_invariance,
@@ -224,18 +220,9 @@ def _run_verify(args, config: ExperimentConfig) -> int:
     elif args.check == "improvement":
         _check_fits(config, n_s, _IMPROVEMENT_SAMPLE_BYTES * args.samples, rows=1)
         eps = 0.1 * optimal_magnitude(channel, config.P)
-        for _ in range(10_000):
-            theta = rng.uniform(0.0, TWO_PI, n_s)
-            if not epsilon_region_contains(channel, theta, config.P, eps):
-                break
-        else:
-            raise ValueError(
-                "no probe point outside the eps region found; with n_s=1 every "
-                "phase vector is optimal, pick a larger n_s"
-            )
         report = estimate_improvement_probability(
-            channel, theta, config.P, config.delta0, eps=eps,
-            samples=args.samples, rng=rng,
+            channel, random_probe(channel, config.P, eps, rng), config.P, config.delta0,
+            eps=eps, samples=args.samples, rng=rng,
         )
     else:  # increment
         _check_fits(config, n_s, _TRAJECTORY_STEP_BYTES * config.horizon_for(n_s), rows=1)

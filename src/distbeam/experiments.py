@@ -235,11 +235,11 @@ _ROW_OBJECT_BYTES = 2048
 # getrusage: one step's noise draw (16), its slot values (16) and their
 # magnitudes (8), whether in the initial measurement or in a kernel chunk
 _SLOT_BYTES = 40
-# peak-RSS bytes per stored value of a budget sample-path run: its float in
-# the blocks and in the stacked curves, then a line of CSV text. Measured with
-# getrusage at 1 and 3 trials and 100k to 1M steps: 159-161 bytes a value
-# between two horizons, at most 166 over the whole run from 300k values on,
-# and no per-step cost beside the values
+# peak-RSS bytes per stored value of a budget sample-path run: its float in a
+# block and in its run's curve, a share of its run's view of the block, then a
+# line of CSV text. Measured with getrusage at 1 and 3 trials and 100k to 1M
+# steps: 159-161 bytes a value between two horizons, at most 166 over a run;
+# over a horizon-1 run, 161 at 200 trials of n_s 100 and 140 at 1,000 of 150
 _SAMPLE_VALUE_BYTES = 168
 
 
@@ -256,7 +256,7 @@ def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
 
 
 def _run_lockstep(
-    config: ExperimentConfig, n_s: int, horizon: int, goals: Callable, blocks: list | None = None
+    config: ExperimentConfig, n_s: int, horizon: int, goals: Callable, curves: list | None = None
 ) -> tuple[np.ndarray, float]:
     """Step all trials of one n_s toward ``goals(opt_mags)``, the thresholds
     for their optimal magnitudes, with :func:`distbeam.search._drive` up to
@@ -264,14 +264,14 @@ def _run_lockstep(
     runs on the stream of ``trial_seed_sequence(master_seed, n_s, k)``: its
     channel (unless shared), initial phases and perturbations, in that order.
 
-    ``blocks``, when given, collects the driver's blocks of stored estimates.
+    ``curves``, when given, collects each trial's stored estimates while it is in the batch.
     The run is refused before any row exists when its rows do not fit, with
     every trial's values held to ``horizon`` under a budget run's +inf goal;
     and before its first step when those of its trials short of their highest
     goals at t = 0 do not fit.
     """
     held = (horizon + 1) * _SAMPLE_VALUE_BYTES  # one trial's value at every step
-    _check_fits(config, n_s, held * config.trials * (blocks is not None and config.eps is None))
+    _check_fits(config, n_s, held * config.trials * (curves is not None and config.eps is None))
     shared = None
     if config.channel_policy == "fixed-across-trials":
         seed = shared_channel_seed_sequence(config.master_seed, n_s)
@@ -285,9 +285,9 @@ def _run_lockstep(
     batch = _start(channels, config.init_mode, power, rngs)
     batch.theta = None  # no study reads phases
     goal = np.asarray(goals(math.sqrt(config.P) * batch.amps.sum(axis=1)), dtype=float)
-    if blocks is not None:  # a trial short of its goals may store a value every step
+    if curves is not None:  # a trial short of its goals may store a value every step
         _check_fits(config, n_s, held * int((batch.cur < goal.max(axis=0)).sum()))
-    return _drive(batch, config.perturbation(), power, horizon, goal, blocks)
+    return _drive(batch, config.perturbation(), power, horizon, goal, curves)
 
 
 def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray | None]:
@@ -302,14 +302,14 @@ def run_sample_paths(config: ExperimentConfig) -> tuple[list[np.ndarray], np.nda
     n_s = config.single_n_s()
     horizon = config.horizon_for(n_s)
     stop = StopRule(horizon, eps=config.eps)  # a budget run's goal is +inf
-    blocks = []
-    first, _ = _run_lockstep(config, n_s, horizon, lambda opt: stop.goal(opt)[None], blocks)
-    mags = np.concatenate(blocks)  # (steps run + 1, trials)
+    curves = []
+    first, _ = _run_lockstep(config, n_s, horizon, lambda opt: stop.goal(opt)[None], curves)
+    mags = [np.concatenate(pieces) for pieces in curves]  # each from t = 0
     if config.eps is None:
-        return list(mags.T), None
+        return mags, None
     reached = first[0] >= 0
-    ends = np.where(reached, first[0], len(mags) - 1)
-    return [mags[: end + 1, k] for k, end in enumerate(ends)], reached
+    # a run that entered the region stepped on to the end of that block
+    return [m[: end + 1] if hit else m for m, end, hit in zip(mags, first[0], reached)], reached
 
 
 def _sweep(config: ExperimentConfig, goals: Callable) -> tuple[list[np.ndarray], float]:

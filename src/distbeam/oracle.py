@@ -219,6 +219,18 @@ def estimate_improvement_probability(
     )
 
 
+def random_probe(channel: ChannelRealization, P: float, eps: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """A point to probe the improvement probability at: the first of up to
+    10,000 draws of uniform phases in [0, 2pi) that lies outside the eps region."""
+    for _ in range(10_000):
+        theta = rng.uniform(0.0, TWO_PI, channel.n_s)
+        if not epsilon_region_contains(channel, theta, P, eps):
+            return theta
+    raise ValueError("no probe point outside the eps region found; with n_s=1 every "
+                     "phase vector is optimal, pick a larger n_s")
+
+
 @dataclass(frozen=True)
 class ShiftInvarianceReport(_Report):
     check = "shift-invariance"

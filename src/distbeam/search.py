@@ -136,6 +136,8 @@ def _init_theta(channel: ChannelRealization, mode, rng: np.random.Generator) -> 
         if mode == "uniform":
             return canonical_phases(rng.uniform(0.0, TWO_PI, channel.n_s))
         raise ValueError(f"unknown init mode: {mode!r}")
+    if not np.isfinite(np.asarray(mode, dtype=float)).all():  # refused before reducing
+        raise ValueError("explicit init vector must be finite")
     theta = canonical_phases(mode)
     if theta.shape != (channel.n_s,):
         raise ValueError(
@@ -287,7 +289,7 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     return block
 
 
-def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas=None):
+def _drive(batch: _Batch, spec, power, max_steps: int, goal, curves=None, thetas=None):
     """Step ``batch`` through the kernel and find when the values it watches
     first reach their goals: a (g, rows) ``goal`` watches each row's stored
     estimate, a (g, 1) one their mean, summed in row order (with one row the
@@ -295,11 +297,11 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas
 
     Stored estimates never decrease, so neither does a watched value: a row
     leaves the batch between blocks once its value reaches its highest goal,
-    its column keeping its last estimate, and the run stops on the step where
-    every value has. A stop at t = 0 leaves the batch unstepped; a +inf goal
-    runs to ``max_steps``. ``blocks`` and ``thetas``, when given, collect the
-    (steps, rows) blocks of stored estimates and the phases in [0, 2pi) after
-    each of their steps, from t = 0.
+    and the run stops on the step where every value has. A stop at t = 0
+    leaves the batch unstepped; a +inf goal runs to ``max_steps``. ``curves``,
+    when given empty, gets a list per row of its stored estimates from t = 0,
+    a piece for each block run while the row is in the batch; ``thetas``
+    collects the phases in [0, 2pi) after each step, from t = 0.
 
     Returns the first step each value reaches each goal at (-1 if it never
     does), shaped as ``goal``, and the worst relative telescoping error
@@ -307,14 +309,12 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas
     """
     n_rows = len(batch.cur)
     first = np.full(goal.shape, -1)
-    top = goal.max(axis=0)
+    top = goal.max(axis=0)  # the highest goal of each value shown, narrowed as rows leave
     per_trial = goal.shape[1] > 1
     # the kernel tests done after every step, so each is one expression
     if per_trial:
-        top_live = top  # the highest goals of the rows in the batch
-
         def done(cur):
-            return (cur >= top_live).all()
+            return (cur >= top).all()
     else:
         top_mean = float(top[0])
 
@@ -326,7 +326,9 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas
     initial = batch.cur.copy()
     last = initial.copy()
     inc_sum = np.zeros(n_rows)
-    rows = slice(None)  # the column of each batch row: all of them until one retires
+    if curves is not None:
+        curves.extend([] for _ in range(n_rows))
+    rows = np.arange(n_rows)  # the trial of each batch row
     block = initial[None]  # t = 0, then each chunk
     while True:
         # each step's increments (0 on discard), added to the running sum in step order
@@ -334,25 +336,25 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, blocks=None, thetas
         incs[0] += inc_sum[rows]
         inc_sum[rows] = np.add.accumulate(incs, axis=0)[-1]
         last[rows] = block[-1]
-        if isinstance(rows, np.ndarray):  # retired rows keep their last estimates
-            full = np.repeat(last[None], len(block), axis=0)
-            full[:, rows] = block
-            block = full
-        if blocks is not None:
-            blocks.append(block)
+        if curves is not None:
+            for row, column in zip(rows, block.T):
+                curves[row].append(column)
         if thetas is not None:
             thetas.append(canonical_phases(batch.theta))
         values = block if per_trial else np.add.accumulate(block, axis=1)[:, -1:] / n_rows
-        hit = values[:, None, :] >= goal  # (steps, goals, values)
+        shown = rows if per_trial else [0]  # the goal column of each value
+        hit = values[:, None, :] >= goal[:, shown]  # (steps, goals, values)
         # a value past a goal in the block is past it at the block's end
-        new = hit[-1] & (first < 0)
-        first[new] = batch.t - len(block) + 1 + hit.argmax(axis=0)[new]
+        seen = first[:, shown]
+        new = hit[-1] & (seen < 0)
+        seen[new] = batch.t - len(block) + 1 + hit.argmax(axis=0)[new]
+        first[:, shown] = seen
         left = values[-1] < top
         if not left.any() or batch.t >= max_steps:
             break
-        if per_trial and not left[rows].all():  # rows at their highest goals retire
-            batch.keep(left[rows])
-            rows, top_live = np.flatnonzero(left), top[left]
+        if not left.all():  # rows at their highest goals retire
+            batch.keep(left)
+            rows, top = rows[left], top[left]
         size = min(_CHUNK, max(1, _CHUNK_VALUES // (len(batch.cur) * values_per_row)),
                    max_steps - batch.t)
         block = _chunk(batch, spec, power, size, stop)
@@ -414,9 +416,9 @@ def run_trajectory(
     batch = _start([channel], init_mode, power, [rng])
     initial_theta = batch.theta[0, 0].copy()
     goal = np.array([[stop.goal(optimal_magnitude(channel, power.P))]])
-    blocks, thetas = [], [] if record_thetas else None
-    first, _ = _drive(batch, spec, power, stop.max_steps, goal, blocks, thetas)
-    mags = np.concatenate(blocks)[:, 0]  # from t = 0
+    curves, thetas = [], [] if record_thetas else None
+    first, _ = _drive(batch, spec, power, stop.max_steps, goal, curves, thetas)
+    mags = np.concatenate(curves[0])  # from t = 0
     increments = np.diff(mags)
     return Trajectory(
         power=power,

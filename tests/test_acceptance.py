@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from distbeam import (
-    TWO_PI,
     ExperimentConfig,
     GridSpec,
     PerturbationSpec,
     PowerConfig,
     StopRule,
     dump_config,
-    epsilon_region_contains,
     estimate_improvement_probability,
     generate_channel,
     linear_fit,
@@ -28,6 +26,7 @@ from distbeam import (
     verify_shift_invariance,
 )
 from distbeam.cli import parse_and_dispatch
+from distbeam.oracle import random_probe
 
 MASTER_SEED = 7
 NS_GRID = tuple(range(10, 101, 10))
@@ -231,10 +230,7 @@ def test_criterion_7_improvement_probability(hitting_bundle):
     probe_rng = np.random.default_rng(71)
     estimates = []
     for _ in range(20):
-        while True:
-            theta = probe_rng.uniform(0.0, TWO_PI, 10)
-            if not epsilon_region_contains(channel, theta, 1.0, eps):
-                break
+        theta = random_probe(channel, 1.0, eps, probe_rng)
         estimates.append(
             estimate_improvement_probability(
                 channel, theta, 1.0, DELTA0, eps=eps, samples=10**5, rng=probe_rng

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,8 +298,10 @@ def test_generate_channel_phases_uniform():
 
 
 def test_generate_channel_rejects_bad_n():
-    with pytest.raises(ValueError):
-        generate_channel(0)
+    for n_s in (0, 2.5, True, np.float64(3.0)):
+        message = f"n_s must be an integer >= 1, got {n_s!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_channel(n_s)
 
 
 def test_epsilon_region():

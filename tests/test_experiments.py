@@ -257,16 +257,17 @@ def manual_trial_curves(cfg, n_s, horizon):
 
 
 def lockstep_curves(cfg, n_s, horizon):
-    """The engine's per-trial curves to the horizon, collected under a goal no
-    trial reaches, and the trials' optimal magnitudes."""
-    blocks, opts = [], []
+    """The engine's per-trial curves to the horizon, each built from the
+    driver's record of that trial under a goal no trial reaches, and the
+    trials' optimal magnitudes."""
+    curves, opts = [], []
 
     def unreachable(opt):
         opts.append(opt)
         return np.full((1, len(opt)), np.inf)
 
-    _run_lockstep(cfg, n_s, horizon, unreachable, blocks)
-    return np.concatenate(blocks).T, opts[0]
+    _run_lockstep(cfg, n_s, horizon, unreachable, curves)
+    return np.stack([np.concatenate(pieces) for pieces in curves]), opts[0]
 
 
 @pytest.mark.parametrize(
@@ -374,17 +375,18 @@ def test_driver_stops_on_the_step_every_value_reaches_its_goal(monkeypatch, watc
     else:
         goal = (np.add.accumulate(full, axis=0)[-1] / cfg.trials)[None, None, k]
         stay = np.ones(cfg.trials, dtype=bool)
-    stepped, tested, blocks = [], [], []
+    stepped, tested, curves = [], [], []
     monkeypatch.setattr(search, "_chunk", recording_chunk(tested, stepped))
-    first, _ = _run_lockstep(cfg, 6, 50, lambda opt: goal, blocks)
-    seen = list(enumerate(np.concatenate(blocks)))
-    assert [t for t, _ in seen] == list(range(k + 1))
+    first, _ = _run_lockstep(cfg, 6, 50, lambda opt: goal, curves)
+    seen = [np.concatenate(pieces) for pieces in curves]
+    # a trial's record runs to the stop step while it is in the batch
+    assert [len(cur) - 1 for cur in seen] == np.where(stay, k, 0).tolist()
     assert stepped == list(range(1, k + 1))
     # a stop at t = 0 leaves the kernel untested
     assert len(tested) == k
     assert first.max() == k
-    for t, cur in seen:
-        assert np.array_equal(cur, full[:, t])
+    for trial, cur in enumerate(seen):
+        assert np.array_equal(cur, full[trial, :len(cur)])
     for t, cur in enumerate(tested, start=1):
         assert np.array_equal(cur, full[stay, t])
 
@@ -395,20 +397,50 @@ def test_a_trial_past_its_goal_keeps_its_magnitude(monkeypatch):
     done_at = np.array([0, 10, 25, 35])  # the step each trial first reaches its goal
     goal = full[np.arange(4), done_at]
     assert np.array_equal((full >= goal[:, None]).argmax(axis=1), done_at)
-    tested, blocks = [], []
+    tested, curves = [], []
     monkeypatch.setattr(search, "_chunk", recording_chunk(tested))
-    first, _ = _run_lockstep(cfg, 6, 60, lambda opt: goal[None], blocks)
-    seen = np.concatenate(blocks)
+    first, _ = _run_lockstep(cfg, 6, 60, lambda opt: goal[None], curves)
+    seen = [np.concatenate(pieces) for pieces in curves]
     # tested after each step of the one 60-step chunk
     assert [len(cur) for cur in tested] == [3] * done_at.max()
     # the run stops once every trial is past its goal
-    assert len(seen) == done_at.max() + 1
+    assert max(len(cur) for cur in seen) == done_at.max() + 1
     assert np.array_equal(first[0], done_at)
     # rows leave at chunk starts: trial 0, past its goal at t = 0, before the
-    # first step; the others step on through the one 60-step chunk until the run stops
-    last_step = np.array([0, 60, 60, 60])
-    for t, cur in enumerate(seen):
-        assert np.array_equal(cur, full[np.arange(4), np.minimum(t, last_step)])
+    # first step; the others step on through the one 60-step chunk until the
+    # run stops. A trial's record ends with the block it left after
+    assert [len(cur) for cur in seen] == [1, 36, 36, 36]
+    for trial, cur in enumerate(seen):
+        assert np.array_equal(cur, full[trial, :len(cur)])
+
+
+def test_an_eps_sample_path_records_only_the_steps_its_runs_take(monkeypatch):
+    # the eps bundle CI re-runs: its runs enter the region at steps 272 to
+    # 687, in different 256-step chunks, and leave the batch at the next start
+    cfg = ExperimentConfig(kind="sample-path", n_s_values=(6,), trials=5, eps=0.05,
+                           horizon=3000, master_seed=3)
+    sizes = []  # the (steps, rows) of each block the kernel runs
+
+    def counting(batch, *args):
+        block = _chunk(batch, *args)
+        sizes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(search, "_chunk", counting)
+    stop = StopRule(3000, eps=0.05)
+    curves = []
+    first, _ = _run_lockstep(cfg, 6, 3000, lambda opt: stop.goal(opt)[None], curves)
+    ends = np.cumsum([steps for steps, _ in sizes])  # the last step of each chunk
+    assert first[0].min() > 0
+    entered = np.searchsorted(ends, first[0])  # the chunk each run entered in
+    assert len(set(entered.tolist())) > 1
+    # the values collected are the initial row and the row-steps the kernel ran
+    collected = sum(len(piece) for pieces in curves for piece in pieces)
+    assert collected == cfg.trials + sum(steps * rows for steps, rows in sizes)
+    # each run's record is t = 0 and every block through the one it entered in
+    for pieces, chunk in zip(curves, entered):
+        assert len(pieces) == chunk + 2
+        assert sum(map(len, pieces)) - 1 == ends[chunk]
 
 
 def rises(curve):

@@ -27,6 +27,7 @@ from distbeam.oracle import (
     IncrementReport,
     LocalMaxReport,
     ShiftInvarianceReport,
+    random_probe,
 )
 from distbeam.search import _CHUNK_VALUES
 
@@ -125,6 +126,27 @@ def test_improvement_probability_two_element_probe():
     assert 0 < est.eta_hat <= 1
     assert est.k0_diag == math.ceil(1.0 / (est.gamma_hat * est.eta_hat))
     assert est.mag_at_theta == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_random_probe_is_the_first_draw_outside_the_region():
+    ch = generate_channel(6, np.random.default_rng(2))
+    eps = 0.85 * optimal_magnitude(ch, 1.0)  # the third draw is the first outside
+    draws = np.random.default_rng(3)
+    inside = []
+    while epsilon_region_contains(ch, theta := draws.uniform(0.0, TWO_PI, 6), 1.0, eps):
+        inside.append(theta)
+    rng = np.random.default_rng(3)
+    assert np.array_equal(random_probe(ch, 1.0, eps, rng), theta)
+    # it draws nothing past the probe
+    assert rng.random() == draws.random()
+    assert len(inside) == 2
+
+
+def test_random_probe_refuses_a_channel_with_no_point_outside():
+    # with one transmitter every phase vector is optimal
+    ch = generate_channel(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="pick a larger n_s"):
+        random_probe(ch, 1.0, 0.1, np.random.default_rng(0))
 
 
 def test_improvement_probability_respects_given_gamma():

@@ -55,6 +55,13 @@ def test_init_explicit_vector():
         init_state(ch, np.zeros(2), POWER)
     with pytest.raises(ValueError, match="init mode"):
         init_state(ch, "sideways", POWER)
+    # refused before reducing: a NaN start would stop a run at t = 0 with a
+    # NaN magnitude, and an infinite one warns in the reduction
+    for bad in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.0, -np.inf, 1.0]):
+        with pytest.raises(ValueError, match="explicit init vector must be finite"):
+            init_state(ch, bad, POWER)
+        with pytest.raises(ValueError, match="explicit init vector must be finite"):
+            run_trajectory(ch, PerturbationSpec(0.1), POWER, bad, StopRule(5))
 
 
 def test_init_uniform_is_seeded():
