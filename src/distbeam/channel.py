@@ -8,6 +8,7 @@ through an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class ChannelRealization:
     phi: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.a) or np.iscomplexobj(self.phi):  # before the cast drops it
+            raise ValueError("channel gains must be real")
         a = np.asarray(self.a, dtype=float)
         phi = np.asarray(self.phi, dtype=float)
         if a.ndim != 1 or phi.ndim != 1:
@@ -82,6 +85,12 @@ def _whole(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _positive(name: str, value) -> None:
+    """Refuse ``value``, naming ``name``, unless it is a finite real > 0."""
+    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class PowerConfig:
     """Transmit power, receiver noise variance, and the number of slots
@@ -92,8 +101,7 @@ class PowerConfig:
     averaging_slots: int = 1
 
     def __post_init__(self):
-        if not 0 < self.P < math.inf:
-            raise ValueError("P must be positive and finite")
+        _positive("P", self.P)
         if not 0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be nonnegative and finite")
         _whole("averaging_slots", self.averaging_slots, 1)
@@ -146,44 +154,37 @@ def received_magnitude(a, theta, P: float, noise=None) -> np.ndarray:
     return coherent_magnitude(phasors(a, theta).sum(axis=-1), P, noise)
 
 
-def _check_theta(channel: ChannelRealization, theta) -> np.ndarray:
+def _check_theta(channel: ChannelRealization, theta, ndim: int = 1) -> np.ndarray:
+    """The one check of phases passed in: ``theta`` as floats, refused unless real,
+    with ``ndim`` axes (1 for a vector, 2 for rows), the last of length n_s."""
+    if np.iscomplexobj(theta):  # before the cast drops the imaginary part
+        raise ValueError("theta must be real")
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.shape[0] != channel.n_s:
-        raise ValueError(
-            f"theta has length {theta.shape[-1] if theta.ndim else 0}, "
-            f"channel has {channel.n_s} transmitters"
-        )
+    if theta.ndim != ndim:
+        raise ValueError(f"theta has {theta.ndim} axes, not {ndim}")
+    if theta.shape[-1] != channel.n_s:
+        raise ValueError(f"theta has length {theta.shape[-1]}, "
+                         f"channel has {channel.n_s} transmitters")
     return theta
 
 
 def magnitude(channel: ChannelRealization, theta, P: float = 1.0) -> float:
-    """Noiseless received signal magnitude sqrt(P) * |sum_i a_i e^{j theta_i}|.
-
-    2pi-periodic in every component of ``theta``.
-    """
-    theta = _check_theta(channel, theta)
-    if not P > 0:
-        raise ValueError("P must be positive")
-    return float(received_magnitude(channel.a, theta, P))
+    """Noiseless received signal magnitude sqrt(P) * |sum_i a_i e^{j theta_i}|, 2pi-periodic
+    in every phase: :func:`magnitude_batch` of the one row ``theta``, bit for bit."""
+    return float(magnitude_batch(channel, _check_theta(channel, theta)[None], P)[0])
 
 
 def magnitude_batch(channel: ChannelRealization, thetas, P: float = 1.0) -> np.ndarray:
-    """Vectorized :func:`magnitude` over rows of a (m, n_s) phase matrix.
-
-    Elementwise-identical to calling :func:`magnitude` on each row.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != channel.n_s:
-        raise ValueError("thetas must be (m, n_s)")
-    if not P > 0:
-        raise ValueError("P must be positive")
+    """:func:`magnitude` of each row of a (m, n_s) phase matrix: the one
+    evaluation of the objective behind every public caller."""
+    thetas = _check_theta(channel, thetas, ndim=2)
+    _positive("P", P)
     return received_magnitude(channel.a, thetas, P)
 
 
 def optimal_magnitude(channel: ChannelRealization, P: float = 1.0) -> float:
     """Global maximum of the magnitude, sqrt(P) * sum_i a_i (all phases aligned)."""
-    if not P > 0:
-        raise ValueError("P must be positive")
+    _positive("P", P)
     return float(math.sqrt(P) * channel.a.sum())
 
 
@@ -223,6 +224,5 @@ def epsilon_region_contains(
     channel: ChannelRealization, theta, P: float, eps: float
 ) -> bool:
     """True iff magnitude(theta) > optimal_magnitude - eps (strict)."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _positive("eps", eps)
     return magnitude(channel, theta, P) > optimal_magnitude(channel, P) - eps

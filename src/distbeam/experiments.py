@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import _whole, generate_channel, PowerConfig
+from .channel import _positive, _whole, generate_channel, PowerConfig
 from .search import PerturbationSpec, StopRule, _drive, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
@@ -126,8 +126,8 @@ class ExperimentConfig:
         if len(set(alphas)) < len(alphas):
             raise ValueError("alpha values must not repeat")
         object.__setattr__(self, "alpha", alphas)
-        if self.eps is not None and not 0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
+        if self.eps is not None:
+            _positive("eps", self.eps)
         self.power()  # checks P, sigma2 and averaging_slots
         self.perturbation()  # checks delta0
         if self.init_mode not in INIT_MODES:

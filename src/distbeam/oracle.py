@@ -21,6 +21,8 @@ from .channel import (
     TWO_PI,
     ChannelRealization,
     SeedLike,
+    _check_theta,
+    _positive,
     _whole,
     canonical_phases,
     epsilon_region_contains,
@@ -189,7 +191,9 @@ def estimate_improvement_probability(
     """
     _whole("samples", samples, 1)
     PerturbationSpec(delta0)  # the search's own check
-    theta = canonical_phases(theta)
+    if gamma is not None:
+        _positive("gamma", gamma)
+    theta = canonical_phases(_check_theta(channel, theta))
     mag0 = magnitude(channel, theta, P)
     status, gamma_hat, eta_hat, k0 = "in-epsilon-region", None, None, None
     if not epsilon_region_contains(channel, theta, P, eps):
@@ -204,10 +208,8 @@ def estimate_improvement_probability(
         if gamma is None:
             positive = improvements[improvements > 0]
             gamma_hat = float(np.median(positive, overwrite_input=True)) if positive.size else None
-        elif gamma > 0:
-            gamma_hat = float(gamma)
         else:
-            raise ValueError("gamma must be positive")
+            gamma_hat = float(gamma)
         if gamma_hat is not None:
             eta_hat = float(np.mean(improvements >= gamma_hat))
         status = "ok" if eta_hat else "no-improvement-observed"  # eta_hat None or 0.0

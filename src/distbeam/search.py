@@ -24,6 +24,8 @@ from .channel import (
     ChannelRealization,
     PowerConfig,
     SeedLike,
+    _check_theta,
+    _positive,
     _whole,
     canonical_phases,
     coherent_magnitude,
@@ -75,8 +77,8 @@ class StopRule:
         _whole("max_steps", self.max_steps, 0)
         if self.eps is not None and self.alpha is not None:
             raise ValueError("stop rule takes eps or alpha, not both")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if self.eps is not None:
+            _positive("eps", self.eps)
         if self.alpha is not None and not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
 
@@ -136,15 +138,10 @@ def _init_theta(channel: ChannelRealization, mode, rng: np.random.Generator) -> 
         if mode == "uniform":
             return canonical_phases(rng.uniform(0.0, TWO_PI, channel.n_s))
         raise ValueError(f"unknown init mode: {mode!r}")
-    if not np.isfinite(np.asarray(mode, dtype=float)).all():  # refused before reducing
+    theta = _check_theta(channel, mode)
+    if not np.isfinite(theta).all():  # refused before reducing
         raise ValueError("explicit init vector must be finite")
-    theta = canonical_phases(mode)
-    if theta.shape != (channel.n_s,):
-        raise ValueError(
-            f"explicit init vector has length {theta.shape[0] if theta.ndim == 1 else '?'}, "
-            f"channel has {channel.n_s} transmitters"
-        )
-    return theta
+    return canonical_phases(theta)
 
 
 def init_state(

@@ -9,14 +9,18 @@ from scipy import stats
 from distbeam import (
     TWO_PI,
     ChannelRealization,
+    PerturbationSpec,
     PowerConfig,
+    StopRule,
     canonical_phases,
     epsilon_region_contains,
+    estimate_improvement_probability,
     generate_channel,
     magnitude,
     magnitude_batch,
     measure_magnitude,
     optimal_magnitude,
+    run_trajectory,
 )
 from distbeam.channel import coherent_magnitude
 
@@ -138,6 +142,11 @@ def test_invalid_channels_rejected():
         ChannelRealization(a=[0.0, 0.0], phi=[0.0, 0.0])
     with pytest.raises(ValueError, match="mismatch"):
         ChannelRealization(a=[1.0, 1.0], phi=[0.0])
+    # refused before the float cast, which would drop the imaginary part or raise TypeError
+    for a, phi in ((np.array([1 + 1j, 1]), [0, 0]), ([1 + 1j, 1.0], [0.0, 0.0]),
+                   ([1.0, 1.0], np.array([0.5j, 0])), ([1.0, 1.0], [0.5j, 0.0])):
+        with pytest.raises(ValueError, match="^channel gains must be real$"):
+            ChannelRealization(a=a, phi=phi)
     # zero-gain transmitters are fine as long as one amplitude is positive
     ch = ChannelRealization(a=[0.0, 1.0], phi=[1.0, 2.0])
     assert optimal_magnitude(ch, 1.0) == pytest.approx(1.0)
@@ -322,3 +331,53 @@ def test_magnitude_batch_matches_rowwise():
     batch = magnitude_batch(ch, thetas, 3.0)
     rows = np.array([magnitude(ch, t, 3.0) for t in thetas])
     assert np.array_equal(batch, rows)
+
+
+_CH3 = ChannelRealization(a=[1.0, 2.0, 0.5], phi=[0.3, 1.1, 2.0])
+_THETA3 = np.array([0.1, 0.2, 0.3])
+# each public function that takes P, eps or a phase vector, called with one bad value
+_TAKES = {
+    "P": {
+        "magnitude": lambda P: magnitude(_CH3, _THETA3, P),
+        "magnitude_batch": lambda P: magnitude_batch(_CH3, _THETA3[None], P),
+        "optimal_magnitude": lambda P: optimal_magnitude(_CH3, P),
+        "epsilon_region_contains": lambda P: epsilon_region_contains(_CH3, _THETA3, P, 0.1),
+    },
+    "eps": {
+        "StopRule": lambda eps: StopRule(5, eps=eps),
+        "epsilon_region_contains": lambda eps: epsilon_region_contains(_CH3, _THETA3, 1.0, eps),
+    },
+    "theta": {
+        "magnitude": lambda theta: magnitude(_CH3, theta),
+        "magnitude_batch": lambda theta: magnitude_batch(_CH3, [theta]),  # as its one row
+        "measure_magnitude": lambda theta: measure_magnitude(_CH3, theta, PowerConfig()),
+        "run_trajectory": lambda theta: run_trajectory(
+            _CH3, PerturbationSpec(0.1), PowerConfig(), theta, StopRule(5), seed=0),
+        "estimate_improvement_probability": lambda theta: estimate_improvement_probability(
+            _CH3, theta, 1.0, math.pi / 30, eps=0.1, samples=10, rng=0),
+    },
+}
+_BAD = {
+    "P": [("inf", math.inf, "^P must be positive"), ("nan", math.nan, "^P must be positive"),
+          ("0", 0.0, "^P must be positive"), ("-1", -1.0, "^P must be positive")],
+    "eps": [("inf", math.inf, "^eps must be positive"), ("0", 0.0, "^eps must be positive")],
+    "theta": [
+        ("complex-array", np.array([1j, 0, 0]), "^theta must be real$"),
+        ("complex-list", [1j, 0.0, 0.0], "^theta must be real$"),
+        ("short", [0.0, 0.0], "^theta has length 2, channel has 3 transmitters$"),
+        ("extra-axis", [[0.0, 0.0, 0.0]], "^theta has [23] axes, not [12]$"),
+    ],
+}
+
+
+def _refusals():
+    for kind, calls in _TAKES.items():
+        for name, call in calls.items():
+            for bad, value, message in _BAD[kind]:
+                yield pytest.param(call, value, message, id=f"{name}-{kind}-{bad}")
+
+
+@pytest.mark.parametrize("call,value,message", _refusals())
+def test_library_refuses_bad_input_naming_it(call, value, message):
+    with pytest.raises(ValueError, match=message):
+        call(value)

@@ -216,8 +216,8 @@ _OFF_PROBE = (0.0, math.pi / 2)  # magnitude sqrt 2 of the optimum 2, outside ep
         (_OFF_PROBE, 200, 1.0, 0,
          "status=no-improvement-observed\ngamma_hat=1.0\neta_hat=0.0\nk0_diag=\n"
          "samples=200\nmag_at_theta=1.4142135623730951\n", 0.20216809397548463),
-        # inside the region nothing is drawn and gamma is not looked at
-        ((0.1, 0.1), 200, -1.0, 0,
+        # inside the region nothing is drawn and a given gamma goes unused
+        ((0.1, 0.1), 200, 1e-3, 0,
          "status=in-epsilon-region\ngamma_hat=\neta_hat=\nk0_diag=\n"
          "samples=200\nmag_at_theta=2.0\n", 0.6369616873214543),
         # samples are drawn in slices of 65536 at n_s = 2: one slice - 1, one
@@ -283,15 +283,18 @@ def test_improvement_probability_keeps_one_float_a_sample():
     assert peak < 32 * samples + 64 * slice_values
 
 
-def test_improvement_probability_checks_gamma_after_sampling():
+def test_improvement_probability_checks_gamma_up_front():
+    # refused beside samples and delta0, whether or not the probe is in the region
     ch = ChannelRealization(a=[1.0, 1.0], phi=[0.0, 0.0])
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        estimate_improvement_probability(
-            ch, np.array(_OFF_PROBE), 1.0, math.pi / 30, eps=0.2, samples=200,
-            gamma=-1.0, rng=rng,
-        )
-    assert rng.random() == 0.20216809397548463  # the 400 perturbation draws were taken
+    for theta in (_OFF_PROBE, (0.1, 0.1)):
+        for gamma in (-1.0, 0.0, math.inf, math.nan):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                estimate_improvement_probability(
+                    ch, np.array(theta), 1.0, math.pi / 30, eps=0.2, samples=200,
+                    gamma=gamma, rng=rng,
+                )
+            assert rng.random() == 0.6369616873214543  # nothing was drawn
 
 
 def test_improvement_probability_eta_concentration_under_doubling():
