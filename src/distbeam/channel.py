@@ -18,6 +18,14 @@ TWO_PI = 2.0 * math.pi
 SeedLike = int | np.random.SeedSequence | np.random.Generator | None
 
 
+def _real(theta) -> np.ndarray:
+    """``theta`` as floats, refused unless real (checked before the cast drops
+    an imaginary part)."""
+    if np.iscomplexobj(theta):
+        raise ValueError("theta must be real")
+    return np.asarray(theta, dtype=float)
+
+
 def canonical_phases(theta) -> np.ndarray:
     """Reduce phases to [0, 2pi): a new float array (0-d for a scalar).
 
@@ -28,8 +36,9 @@ def canonical_phases(theta) -> np.ndarray:
     remainder does; on [2pi, 4pi) fmod and x - 2pi are both exact (Sterbenz's
     lemma); on (-2pi, 0) fmod is x and remainder adds 2pi with one rounding,
     which is x + 2pi. Other input, NaN and infinities included, takes remainder.
+    Complex input is refused.
     """
-    x = np.asarray(theta, dtype=float)
+    x = _real(theta)
     out = np.empty_like(x)  # filled whole before any where= writes into it
     if x.size and -TWO_PI < x.min() and x.max() < 2.0 * TWO_PI:  # NaN fails both
         np.add(x, 0.0, out=out)
@@ -102,7 +111,7 @@ class PowerConfig:
 
     def __post_init__(self):
         _positive("P", self.P)
-        if not 0 <= self.sigma2 < math.inf:
+        if not isinstance(self.sigma2, numbers.Real) or not 0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be nonnegative and finite")
         _whole("averaging_slots", self.averaging_slots, 1)
 
@@ -126,27 +135,45 @@ def phasors(a, theta) -> np.ndarray:
     return out
 
 
-def coherent_magnitude(total, P: float, noise=None, out=None) -> np.ndarray:
-    """The one formula behind every magnitude, from the sums ``total`` of
-    :func:`phasors` that :func:`received_magnitude` and the search kernel form.
+def magnitude_into(total, P: float, k: int = 0):
+    """The one formula behind every magnitude, bound to the sums ``total`` of
+    :func:`phasors`: returns ``measure(noise)``, which reads ``total`` as it is
+    at the call and returns the magnitudes, one array (floats shaped like
+    ``total``) filled anew on every call.
 
-    Noiseless: sqrt(P) * |total|. With ``noise`` (slot noise w of shape
-    (..., 2, k): real parts, then imaginary parts, each of variance sigma2/2),
-    the mean over k slots of |sqrt(P) total + w|. ``out`` takes the buffers
-    to write into, so that the search kernel's steps allocate nothing: the
-    magnitudes (floats shaped like ``total``) when noiseless; with noise, a
-    tuple of those, sqrt(P) total, the slot values (shaped like ``noise``) and
-    their magnitudes (shaped like ``noise[..., 0, :]``).
+    Noiseless (``k`` 0, ``noise`` None): sqrt(P) * |total|. With k slots
+    (slot noise w of shape total.shape + (2, k): real parts, then imaginary
+    parts, each of variance sigma2/2), the mean over the slots of
+    |sqrt(P) total + w|. The buffers and views are made here, once, so that a
+    call runs only the formula's ufuncs and allocates nothing.
     """
     sqrt_p = math.sqrt(P)
-    if noise is None:
-        return np.multiply(np.abs(total, out=out), sqrt_p, out=out)
-    mags, signal, slots, slot_mags = (None,) * 4 if out is None else out
+    mags = np.empty(np.shape(total))
+    if k == 0:
+        def measure(noise):
+            return np.multiply(np.abs(total, out=mags), sqrt_p, out=mags)
+        return measure
+    signal = np.empty(np.shape(total), dtype=complex)
     # (re, im) of sqrt(P) total viewed as (..., 2, 1) floats; a 0-d total views only once 1-d
-    signal = np.multiply(total, sqrt_p, out=signal)[..., None].view(float)[..., None]
-    slots = np.add(signal, noise, out=slots)
-    slot_mags = np.hypot(slots[..., 0, :], slots[..., 1, :], out=slot_mags)
-    return np.divide(np.add.reduce(slot_mags, axis=-1, out=mags), noise.shape[-1], out=mags)
+    pair = signal[..., None].view(float)[..., None]
+    slots = np.empty(pair.shape[:-1] + (k,))
+    re, im = slots[..., 0, :], slots[..., 1, :]
+    slot_mags = np.empty(re.shape)
+    n_slots = float(k)  # the same quotient as int k, without converting it on every call
+
+    def measure(noise):
+        np.multiply(total, sqrt_p, out=signal)
+        np.add(pair, noise, out=slots)
+        np.hypot(re, im, out=slot_mags)
+        np.add.reduce(slot_mags, axis=-1, out=mags)
+        return np.divide(mags, n_slots, out=mags)
+    return measure
+
+
+def coherent_magnitude(total, P: float, noise=None) -> np.ndarray:
+    """:func:`magnitude_into` measured once: sqrt(P) * |total|, or with slot
+    ``noise`` of shape total.shape + (2, k), the mean over its k slots."""
+    return magnitude_into(total, P, 0 if noise is None else noise.shape[-1])(noise)
 
 
 def received_magnitude(a, theta, P: float, noise=None) -> np.ndarray:
@@ -157,9 +184,7 @@ def received_magnitude(a, theta, P: float, noise=None) -> np.ndarray:
 def _check_theta(channel: ChannelRealization, theta, ndim: int = 1) -> np.ndarray:
     """The one check of phases passed in: ``theta`` as floats, refused unless real,
     with ``ndim`` axes (1 for a vector, 2 for rows), the last of length n_s."""
-    if np.iscomplexobj(theta):  # before the cast drops the imaginary part
-        raise ValueError("theta must be real")
-    theta = np.asarray(theta, dtype=float)
+    theta = _real(theta)
     if theta.ndim != ndim:
         raise ValueError(f"theta has {theta.ndim} axes, not {ndim}")
     if theta.shape[-1] != channel.n_s:

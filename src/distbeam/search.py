@@ -29,6 +29,7 @@ from .channel import (
     _whole,
     canonical_phases,
     coherent_magnitude,
+    magnitude_into,
     measure_magnitude,
     optimal_magnitude,
     phasors,
@@ -238,13 +239,16 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
 
     Each row's uniform draws land in one chunk buffer, mapped to
     [-delta0, delta0] in one pass as ``Generator.uniform`` maps them.
-    Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}. A
-    step is a fixed set of ufunc calls into buffers allocated here and freed
-    on return, before the next chunk allocates its own. Tracked phases are
-    summed once, in step order, from the kept draws.
+    Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}, and
+    the row sums are measured by the one magnitude formula, bound here to
+    them (:func:`magnitude_into`). A step is a fixed run of ufunc calls into
+    buffers allocated here and freed on return, before the next chunk
+    allocates its own; the only Python functions it calls are that
+    ``measure`` and ``done``. Tracked phases are summed once, in step order,
+    from the kept draws.
     """
     rows, n_s = batch.w.shape
-    d0, k = spec.delta0, power.averaging_slots
+    d0 = spec.delta0
     deltas = np.empty((rows, size, n_s))
     for rng, row in zip(batch.rngs, deltas):
         rng.random(out=row)
@@ -256,18 +260,16 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     block = np.empty((size, rows))
     proposed = np.empty_like(batch.w)
     total = np.empty(rows, dtype=complex)
-    pm = np.empty(rows)
-    out = pm if power.sigma2 == 0.0 else (pm, np.empty_like(total), np.empty((rows, 2, k)),
-                                          np.empty((rows, k)))
+    measure = magnitude_into(total, power.P, power.averaging_slots if power.sigma2 > 0 else 0)
     keep = np.empty(rows, dtype=bool)
     keep_col = keep[:, None]
     start = cur = batch.cur
     steps = size
-    w, P = batch.w, power.P
+    w = batch.w
     for i, (turn, slot_noise, row) in enumerate(zip(turns, noise, block)):
         np.multiply(w, turn, out=proposed)
         np.add.reduce(proposed, axis=1, out=total)
-        coherent_magnitude(total, P, slot_noise, out)
+        pm = measure(slot_noise)
         np.greater(pm, cur, out=keep)
         np.copyto(w, proposed, where=keep_col)
         cur = np.maximum(cur, pm, out=row)
@@ -375,9 +377,10 @@ def one_bit_step(
     and then the slot noise. Returns the new state, whether the move was kept,
     and the magnitude increment (0 on discard).
     """
+    theta = _check_theta(channel, state.theta)
     rng = np.random.default_rng(rng)
     amps = channel.a[None]
-    batch = _Batch(amps, state.theta[None, None], phasors(amps, state.theta[None]),
+    batch = _Batch(amps, theta[None, None], phasors(amps, theta[None]),
                    np.array([state.current_mag]), [rng], [rng], state.step_index)
     mag = _chunk(batch, spec, power, 1, None)[0, 0]
     if mag > state.current_mag:  # the stored estimate rose: the move was kept

@@ -11,6 +11,7 @@ from distbeam import (
     ChannelRealization,
     PerturbationSpec,
     PowerConfig,
+    SearchState,
     StopRule,
     canonical_phases,
     epsilon_region_contains,
@@ -19,10 +20,11 @@ from distbeam import (
     magnitude,
     magnitude_batch,
     measure_magnitude,
+    one_bit_step,
     optimal_magnitude,
     run_trajectory,
 )
-from distbeam.channel import coherent_magnitude
+from distbeam.channel import coherent_magnitude, magnitude_into
 
 
 @st.composite
@@ -169,6 +171,10 @@ def test_power_config_validation():
             PowerConfig(P=bad)
         with pytest.raises(ValueError, match="sigma2 must"):
             PowerConfig(sigma2=bad)
+    # a complex sigma2 is refused, not cast to its real part as the noise is scaled
+    for bad in (np.complex128(0.01), 0.01 + 0j):
+        with pytest.raises(ValueError, match="^sigma2 must be nonnegative and finite$"):
+            PowerConfig(sigma2=bad)
     with pytest.raises(ValueError):
         magnitude(ChannelRealization(a=[1.0], phi=[0.0]), [0.0], P=0.0)
 
@@ -193,6 +199,22 @@ def test_coherent_magnitude_noisy_matches_the_slot_formula(shape, k, P):
         chunk = np.zeros(shape[:1] + (3,) + shape[1:] + (2, k))
         chunk[:, 1] = s * n
         assert np.array_equal(coherent_magnitude(total, P, chunk[:, 1]), expected)
+    # bound to a sums buffer, as the search kernel binds it, the formula refills
+    # one array on every call from the sums as they are then, noiseless and
+    # noisy, and gives coherent_magnitude's bits; a 0-d buffer too is written in place
+    sums = np.array(total)
+    wide = np.zeros(shape + (2, 2 * k))
+    wide[..., ::2] = s * n  # a strided view of the slot noise
+    for slots, noises in ((0, [None]), (k, [s * n, wide[..., ::2]])):
+        measure = magnitude_into(sums, P, slots)
+        first = measure(noises[0])
+        assert first.shape == shape
+        for z in (total, 2.0 * total - 1j):
+            sums[...] = z
+            for noise in noises:
+                got = measure(noise)
+                assert got is first
+                assert np.array_equal(got, coherent_magnitude(z, P, noise))
 
 
 def test_channel_phases_stored_canonically():
@@ -206,6 +228,13 @@ def test_canonical_phases_edges():
     assert np.all(out >= 0.0) and np.all(out < TWO_PI)
     assert out[1] == 0.0
     assert out[2] == 0.0
+
+
+def test_canonical_phases_refuses_complex_input():
+    # refused before the float cast, which would keep only the real parts
+    for bad in (np.array([1j, 2.0]), [1j, 2.0], 1j, np.complex128(0.5)):
+        with pytest.raises(ValueError, match="^theta must be real$"):
+            canonical_phases(bad)
 
 
 def test_canonical_phases_of_a_scalar_is_a_0d_array():
@@ -355,6 +384,8 @@ _TAKES = {
             _CH3, PerturbationSpec(0.1), PowerConfig(), theta, StopRule(5), seed=0),
         "estimate_improvement_probability": lambda theta: estimate_improvement_probability(
             _CH3, theta, 1.0, math.pi / 30, eps=0.1, samples=10, rng=0),
+        "one_bit_step": lambda theta: one_bit_step(
+            SearchState(theta, 1.0, 0), _CH3, PerturbationSpec(0.1), PowerConfig(), 0),
     },
 }
 _BAD = {

@@ -399,11 +399,17 @@ def _batch(n_s, rows, power, seed):
     return _start(channels, "uniform", power, rngs)
 
 
-@pytest.mark.parametrize("target", [1, 255, 256, 257, 520])
-def test_a_block_ends_on_the_step_where_done_first_holds(target):
+@pytest.mark.parametrize(
+    "power,target",
+    [pytest.param(POWER, k, id=str(k)) for k in (1, 255, 256, 257, 520)]
+    # noisy estimates plateau sooner: past 512 their mean first rises at step 532
+    + [pytest.param(PowerConfig(P=2.5, sigma2=0.05, averaging_slots=3), k, id=f"noisy-{k}")
+       for k in (1, 255, 256, 257, 532)],
+)
+def test_a_block_ends_on_the_step_where_done_first_holds(power, target):
     # eight rows of n_s = 16 step in 256-step chunks, and their mean rises at
     # each target step k, so done holds from step k on and never before it
-    spec, power, k = PerturbationSpec(delta0=math.pi / 30), POWER, target
+    spec, k = PerturbationSpec(delta0=math.pi / 30), target
     batch = _batch(16, 8, power, 1)
     curve = np.concatenate([batch.cur[None]]
                            + [_chunk(batch, spec, power, size, None) for size in (256, 256, 88)])
@@ -458,8 +464,8 @@ def test_driver_sizes_each_chunk_to_its_live_rows_draws(monkeypatch, power, size
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_kernel_noisy_estimates_match_coherent_magnitude(k):
-    # the kernel measures through coherent_magnitude's out= buffers; a step at a
-    # time through its allocating form, on the same draws, gives the same bits
+    # the kernel measures through the formula bound once a chunk to its buffers;
+    # a step at a time through coherent_magnitude, on the same draws, gives the same bits
     spec, steps = PerturbationSpec(delta0=math.pi / 30), 40
     power = PowerConfig(P=2.5, sigma2=0.05, averaging_slots=k)
     batch = _batch(5, 3, power, 11)
