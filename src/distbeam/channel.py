@@ -115,6 +115,25 @@ class PowerConfig:
             raise ValueError("sigma2 must be nonnegative and finite")
         _whole("averaging_slots", self.averaging_slots, 1)
 
+    @property
+    def slots(self) -> int:
+        """The one noise rule: the noisy slots a measurement averages,
+        ``averaging_slots`` when sigma2 > 0 and none when noiseless."""
+        return self.averaging_slots if self.sigma2 > 0 else 0
+
+
+def slot_noise(rngs, power: PowerConfig, steps: int):
+    """The one slot-noise draw: w for ``steps`` measurements of each row r, from
+    ``rngs[r]``, of variance sigma2 and shape (steps, rows, 2, ``power.slots``)
+    (real parts, then imaginary parts); ``steps`` Nones, drawing nothing, when noiseless."""
+    if not power.slots:
+        return [None] * steps
+    buf = np.empty((len(rngs), steps, 2, power.slots))
+    for rng, row in zip(rngs, buf):
+        rng.standard_normal(out=row)
+    buf *= math.sqrt(power.sigma2 / 2.0)
+    return buf.swapaxes(0, 1)
+
 
 def rotations(a, x) -> np.ndarray:
     """e^{j(x_i - x_r)} over the last axis of ``x``, relative to its entry at
@@ -176,11 +195,6 @@ def coherent_magnitude(total, P: float, noise=None) -> np.ndarray:
     return magnitude_into(total, P, 0 if noise is None else noise.shape[-1])(noise)
 
 
-def received_magnitude(a, theta, P: float, noise=None) -> np.ndarray:
-    """:func:`coherent_magnitude` of phases ``theta`` (over its last axis)."""
-    return coherent_magnitude(phasors(a, theta).sum(axis=-1), P, noise)
-
-
 def _check_theta(channel: ChannelRealization, theta, ndim: int = 1) -> np.ndarray:
     """The one check of phases passed in: ``theta`` as floats, refused unless real,
     with ``ndim`` axes (1 for a vector, 2 for rows), the last of length n_s."""
@@ -204,7 +218,7 @@ def magnitude_batch(channel: ChannelRealization, thetas, P: float = 1.0) -> np.n
     evaluation of the objective behind every public caller."""
     thetas = _check_theta(channel, thetas, ndim=2)
     _positive("P", P)
-    return received_magnitude(channel.a, thetas, P)
+    return coherent_magnitude(phasors(channel.a, thetas).sum(axis=-1), P)
 
 
 def optimal_magnitude(channel: ChannelRealization, P: float = 1.0) -> float:
@@ -219,19 +233,14 @@ def measure_magnitude(
     power: PowerConfig,
     rng: SeedLike = None,
 ) -> float:
-    """Receiver-side magnitude estimate.
-
-    With ``sigma2 == 0`` this is bit-identical to :func:`magnitude` and draws
-    nothing from ``rng``. Otherwise it averages ``averaging_slots`` noisy
-    magnitudes |sqrt(P) sum_i a_i e^{j theta_i} + w_k| with w_k i.i.d.
-    circularly-symmetric complex Gaussian of variance sigma2.
-    """
-    if power.sigma2 == 0.0:
-        return magnitude(channel, theta, power.P)
+    """Receiver-side magnitude estimate: :func:`coherent_magnitude` of the phasor
+    sum at ``theta`` with one measurement's :func:`slot_noise` from ``rng``, the
+    mean over ``power.slots`` slots of |sqrt(P) sum_i a_i e^{j theta_i} + w_k|.
+    Noiseless, it is bit-identical to :func:`magnitude` and draws nothing from ``rng``."""
     theta = _check_theta(channel, theta)
-    scale = math.sqrt(power.sigma2 / 2.0)
-    noise = scale * np.random.default_rng(rng).standard_normal((2, power.averaging_slots))
-    return float(received_magnitude(channel.a, theta, power.P, noise))
+    noise = slot_noise([np.random.default_rng(rng)], power, 1)[0]
+    total = phasors(channel.a, theta[None]).sum(axis=-1)
+    return float(coherent_magnitude(total, power.P, noise)[0])
 
 
 def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:

@@ -129,7 +129,7 @@ def _reads(args, config: ExperimentConfig) -> list[str]:
     """The config keys and verify flags the run reads."""
     # slots average noisy estimates: a noiseless run reads none
     return [key for key in _READS[getattr(args, "check", args.subcommand)]
-            if key != "averaging_slots" or config.sigma2 > 0]
+            if key != "averaging_slots" or config.power().slots]
 
 
 def _refuse_unread_keys(args, config: ExperimentConfig) -> None:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import _positive, _whole, generate_channel, PowerConfig
+from .channel import _whole, generate_channel, PowerConfig
 from .search import PerturbationSpec, StopRule, _drive, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
@@ -121,13 +121,12 @@ class ExperimentConfig:
         alphas = tuple(float(a) for a in np.atleast_1d(self.alpha))
         if not alphas:
             raise ValueError("alpha list must be non-empty")
-        if any(not 0.0 < a <= 1.0 for a in alphas):
-            raise ValueError("alpha must be in (0, 1]")
+        for a in alphas:
+            StopRule(0, alpha=a)  # checks each alpha
         if len(set(alphas)) < len(alphas):
             raise ValueError("alpha values must not repeat")
         object.__setattr__(self, "alpha", alphas)
-        if self.eps is not None:
-            _positive("eps", self.eps)
+        StopRule(0, eps=self.eps)  # checks eps
         self.power()  # checks P, sigma2 and averaging_slots
         self.perturbation()  # checks delta0
         if self.init_mode not in INIT_MODES:
@@ -249,8 +248,7 @@ def _check_fits(config: ExperimentConfig, n_s: int, held_bytes: int = 0,
     phasors, per-row objects, slot buffers and the ``held_bytes`` its study
     keeps alone exceed physical memory."""
     rows = config.trials if rows is None else rows
-    slots = config.averaging_slots if config.sigma2 > 0 else 0
-    need = rows * (16 * n_s + _SLOT_BYTES * slots + _ROW_OBJECT_BYTES) + held_bytes
+    need = rows * (16 * n_s + _SLOT_BYTES * config.power().slots + _ROW_OBJECT_BYTES) + held_bytes
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError(f"a run of {rows} rows needs at least {need} bytes")
 

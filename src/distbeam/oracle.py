@@ -290,7 +290,7 @@ def verify_monotone_and_increment(
 ) -> IncrementReport:
     """Check a noiseless trajectory is non-decreasing and that the final
     magnitude telescopes to the initial one plus the recorded increments."""
-    if traj.power.sigma2 != 0:
+    if traj.power.slots:
         raise ValueError("increment verification is defined for noiseless trajectories")
     curve = traj.magnitudes()
     drops = np.nonzero(np.diff(curve) < 0)[0]

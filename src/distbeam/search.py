@@ -34,6 +34,7 @@ from .channel import (
     optimal_magnitude,
     phasors,
     rotations,
+    slot_noise,
 )
 
 _CHUNK = 256  # most steps whose perturbations one generator call draws
@@ -196,31 +197,19 @@ class _Batch:
         self.theta = None if self.theta is None else self.theta[:, stay]
 
 
-def _noise(rngs, power: PowerConfig, steps: int):
-    """Slot noise w for ``steps`` measurements of every row, of variance
-    sigma2 and shape (steps, rows, 2, k); ``steps`` Nones when noiseless."""
-    if power.sigma2 == 0.0:
-        return [None] * steps
-    buf = np.empty((len(rngs), steps, 2, power.averaging_slots))
-    for rng, row in zip(rngs, buf):
-        rng.standard_normal(out=row)
-    buf *= math.sqrt(power.sigma2 / 2.0)
-    return buf.swapaxes(0, 1)
-
-
 def _start(channels, init_mode, power: PowerConfig, rngs) -> _Batch:
     """The initial batch, its rows stepping on ``rngs``.
 
-    Each row draws its initial phases from its own generator. Measurement
-    noise, when on, comes from a child stream spawned from that generator's
-    seed sequence, so the perturbation stream is the same with and without
-    noise.
+    Each row draws its initial phases from its own generator. When
+    ``power.slots`` says the measurement is noisy, its :func:`slot_noise` comes
+    from a child stream spawned from that generator's seed sequence, so the
+    perturbation stream is the same with and without noise.
     """
-    noise_rngs = [rng.spawn(1)[0] for rng in rngs] if power.sigma2 > 0 else None
+    noise_rngs = [rng.spawn(1)[0] for rng in rngs] if power.slots else None
     theta = np.stack([_init_theta(ch, init_mode, rng) for ch, rng in zip(channels, rngs)])
     amps = np.stack([ch.a for ch in channels])
     w = phasors(amps, theta)
-    cur = coherent_magnitude(w.sum(axis=1), power.P, _noise(noise_rngs, power, 1)[0])
+    cur = coherent_magnitude(w.sum(axis=1), power.P, slot_noise(noise_rngs, power, 1)[0])
     return _Batch(amps, theta[None], w, cur, rngs, noise_rngs)
 
 
@@ -231,11 +220,12 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     stored estimates after each step run.
 
     Row k perturbs every phase with a draw from ``spec`` on
-    ``batch.rngs[k]``, measures the proposal with slot noise from
-    ``batch.noise_rngs[k]``, and keeps the move exactly when the proposed
-    estimate strictly exceeds the stored one; so a row's stored estimate
-    rises exactly on a keep. The kernel steps the rows the batch holds, and
-    how steps are cut into chunks leaves the streams as they are.
+    ``batch.rngs[k]``, measures the proposal over ``power.slots`` slots with
+    :func:`slot_noise` from ``batch.noise_rngs[k]``, and keeps the move
+    exactly when the proposed estimate strictly exceeds the stored one; so a
+    row's stored estimate rises exactly on a keep. The kernel steps the rows
+    the batch holds, and how steps are cut into chunks leaves the streams as
+    they are.
 
     Each row's uniform draws land in one chunk buffer, mapped to
     [-delta0, delta0] in one pass as ``Generator.uniform`` maps them.
@@ -256,20 +246,20 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     deltas += -d0
     deltas = deltas.swapaxes(0, 1)
     turns = rotations(batch.amps, deltas)
-    noise = _noise(batch.noise_rngs, power, size)
+    noise = slot_noise(batch.noise_rngs, power, size)
     block = np.empty((size, rows))
     proposed = np.empty_like(batch.w)
     total = np.empty(rows, dtype=complex)
-    measure = magnitude_into(total, power.P, power.averaging_slots if power.sigma2 > 0 else 0)
+    measure = magnitude_into(total, power.P, power.slots)
     keep = np.empty(rows, dtype=bool)
     keep_col = keep[:, None]
     start = cur = batch.cur
     steps = size
     w = batch.w
-    for i, (turn, slot_noise, row) in enumerate(zip(turns, noise, block)):
+    for i, (turn, w_slots, row) in enumerate(zip(turns, noise, block)):
         np.multiply(w, turn, out=proposed)
         np.add.reduce(proposed, axis=1, out=total)
-        pm = measure(slot_noise)
+        pm = measure(w_slots)
         np.greater(pm, cur, out=keep)
         np.copyto(w, proposed, where=keep_col)
         cur = np.maximum(cur, pm, out=row)
@@ -321,7 +311,7 @@ def _drive(batch: _Batch, spec, power, max_steps: int, goal, curves=None, thetas
             return np.add.accumulate(cur)[-1] / n_rows >= top_mean
 
     stop = None if np.isinf(top).all() else done  # a +inf goal never stops a chunk
-    values_per_row = batch.w.shape[1] + (2 * power.averaging_slots if power.sigma2 > 0 else 0)
+    values_per_row = batch.w.shape[1] + 2 * power.slots
     initial = batch.cur.copy()
     last = initial.copy()
     inc_sum = np.zeros(n_rows)

@@ -24,7 +24,7 @@ from distbeam import (
     optimal_magnitude,
     run_trajectory,
 )
-from distbeam.channel import coherent_magnitude, magnitude_into
+from distbeam.channel import coherent_magnitude, magnitude_into, slot_noise
 
 
 @st.composite
@@ -177,6 +177,39 @@ def test_power_config_validation():
             PowerConfig(sigma2=bad)
     with pytest.raises(ValueError):
         magnitude(ChannelRealization(a=[1.0], phi=[0.0]), [0.0], P=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_power_slots_is_the_one_noise_rule(k):
+    # a noiseless measurement averages no slots, whatever averaging_slots says
+    assert PowerConfig(sigma2=0.0, averaging_slots=k).slots == 0
+    assert PowerConfig(sigma2=1e-300, averaging_slots=k).slots == k
+    assert PowerConfig(P=2.5, sigma2=0.01, averaging_slots=k).slots == k
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_slot_noise_is_each_rows_own_scaled_draw(k):
+    power = PowerConfig(sigma2=0.3, averaging_slots=k)
+    scale = math.sqrt(0.3 / 2.0)
+    # one row and one step: the draw measure_magnitude made on its own
+    one = slot_noise([np.random.default_rng(11)], power, 1)
+    expected = scale * np.random.default_rng(11).standard_normal((2, k))
+    assert one.shape == (1, 1, 2, k)
+    assert one[0, 0].tobytes() == expected.tobytes()
+    # row r of a block is its own generator's draw of every step, in step order
+    seeds = [5, 6, 7]
+    block = slot_noise([np.random.default_rng(seed) for seed in seeds], power, 9)
+    assert block.shape == (9, 3, 2, k)
+    for r, seed in enumerate(seeds):
+        expected = scale * np.random.default_rng(seed).standard_normal((9, 2, k))
+        assert np.ascontiguousarray(block[:, r]).tobytes() == expected.tobytes()
+
+
+def test_slot_noise_draws_nothing_when_noiseless():
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    assert slot_noise(rngs, PowerConfig(sigma2=0.0, averaging_slots=4), 5) == [None] * 5
+    assert [rng.bit_generator.state for rng in rngs] == before
 
 
 @pytest.mark.parametrize("P", [1.0, 2.5])
@@ -351,6 +384,28 @@ def test_epsilon_region():
     assert epsilon_region_contains(ch, [0.0, 0.1], 1.0, 0.01)
     with pytest.raises(ValueError):
         epsilon_region_contains(ch, [0.0, 0.0], 1.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eps_region_and_stop_goal_agree_at_the_edge(seed):
+    # the improvement probe tests mag > opt - eps, a sample-path stop
+    # mag >= nextafter(opt - eps, inf): one region, two encodings
+    rng = np.random.default_rng(seed)
+    ch = generate_channel(int(rng.integers(2, 13)), rng)
+    for P in (0.5, 1.0, 2.5):
+        opt = optimal_magnitude(ch, P)
+        for spread in (1e-3, 0.05, 0.4):
+            theta = ch.phi[0] + rng.uniform(-spread, spread, ch.n_s)
+            mag = magnitude(ch, theta, P)
+            below, above = np.nextafter(mag, -np.inf), np.nextafter(mag, np.inf)
+            twice_below, twice_above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            for edge, inside in ((twice_below, True), (below, True), (mag, False),
+                                 (above, False), (twice_above, False)):
+                eps = opt - edge
+                assert opt - eps == edge  # exact (Sterbenz): the edge is the float meant
+                goal = StopRule(1, eps=eps).goal(opt)
+                assert bool(epsilon_region_contains(ch, theta, P, eps)) is inside
+                assert bool(mag >= goal) is inside
 
 
 def test_magnitude_batch_matches_rowwise():
