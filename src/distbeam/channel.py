@@ -236,9 +236,9 @@ def measure_magnitude(
     """Receiver-side magnitude estimate: :func:`coherent_magnitude` of the phasor
     sum at ``theta`` with one measurement's :func:`slot_noise` from ``rng``, the
     mean over ``power.slots`` slots of |sqrt(P) sum_i a_i e^{j theta_i} + w_k|.
-    Noiseless, it is bit-identical to :func:`magnitude` and draws nothing from ``rng``."""
+    Noiseless, it is bit-identical to :func:`magnitude` and builds no generator."""
     theta = _check_theta(channel, theta)
-    noise = slot_noise([np.random.default_rng(rng)], power, 1)[0]
+    noise = slot_noise([np.random.default_rng(rng)] if power.slots else None, power, 1)[0]
     total = phasors(channel.a, theta[None]).sum(axis=-1)
     return float(coherent_magnitude(total, power.P, noise)[0])
 
@@ -257,6 +257,7 @@ def generate_channel(n_s: int, rng: SeedLike = None) -> ChannelRealization:
 def epsilon_region_contains(
     channel: ChannelRealization, theta, P: float, eps: float
 ) -> bool:
-    """True iff magnitude(theta) > optimal_magnitude - eps (strict)."""
+    """True iff magnitude(theta) > optimal_magnitude - eps (strict), a Python bool
+    whatever the types of ``P`` and ``eps``."""
     _positive("eps", eps)
-    return magnitude(channel, theta, P) > optimal_magnitude(channel, P) - eps
+    return bool(magnitude(channel, theta, P) > optimal_magnitude(channel, P) - eps)

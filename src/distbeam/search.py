@@ -39,6 +39,7 @@ from .channel import (
 
 _CHUNK = 256  # most steps whose perturbations one generator call draws
 _CHUNK_VALUES = 1 << 17  # most random values one chunk draws across all rows
+_WINDOW = 16  # most proposals of a lone row measured in one pass
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,14 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     [-delta0, delta0] in one pass as ``Generator.uniform`` maps them.
     Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}, and
     the row sums are measured by the one magnitude formula, bound here to
-    them (:func:`magnitude_into`). A step is a fixed run of ufunc calls into
-    buffers allocated here and freed on return, before the next chunk
-    allocates its own; the only Python functions it calls are that
-    ``measure`` and ``done``. Tracked phases are summed once, in step order,
-    from the kept draws.
+    them (:func:`magnitude_into`), in buffers allocated here and freed on
+    return, before the next chunk allocates its own. Rows of a wider batch
+    keep on different steps, so they step in lockstep: a step is a fixed run
+    of ufunc calls, and the only Python functions it calls are that
+    ``measure`` and ``done``. A lone row steps to its next keep in one pass
+    (:func:`_to_keeps`), with the same ufuncs on each proposal, so its
+    estimates are the same bits either way. Tracked phases are summed once,
+    in step order, from the kept draws.
     """
     rows, n_s = batch.w.shape
     d0 = spec.delta0
@@ -248,24 +252,27 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     turns = rotations(batch.amps, deltas)
     noise = slot_noise(batch.noise_rngs, power, size)
     block = np.empty((size, rows))
-    proposed = np.empty_like(batch.w)
-    total = np.empty(rows, dtype=complex)
-    measure = magnitude_into(total, power.P, power.slots)
-    keep = np.empty(rows, dtype=bool)
-    keep_col = keep[:, None]
     start = cur = batch.cur
     steps = size
     w = batch.w
-    for i, (turn, w_slots, row) in enumerate(zip(turns, noise, block)):
-        np.multiply(w, turn, out=proposed)
-        np.add.reduce(proposed, axis=1, out=total)
-        pm = measure(w_slots)
-        np.greater(pm, cur, out=keep)
-        np.copyto(w, proposed, where=keep_col)
-        cur = np.maximum(cur, pm, out=row)
-        if done is not None and done(cur):
-            steps = i + 1
-            break
+    if rows == 1:
+        steps = _to_keeps(w, cur[0], turns, noise, block, power, done)
+    else:
+        proposed = np.empty_like(w)
+        total = np.empty(rows, dtype=complex)
+        measure = magnitude_into(total, power.P, power.slots)
+        keep = np.empty(rows, dtype=bool)
+        keep_col = keep[:, None]
+        for i, (turn, w_slots, row) in enumerate(zip(turns, noise, block)):
+            np.multiply(w, turn, out=proposed)
+            np.add.reduce(proposed, axis=1, out=total)
+            pm = measure(w_slots)
+            np.greater(pm, cur, out=keep)
+            np.copyto(w, proposed, where=keep_col)
+            cur = np.maximum(cur, pm, out=row)
+            if done is not None and done(cur):
+                steps = i + 1
+                break
     block = block[:steps]
     if batch.theta is not None:
         # a discard adds +-0, which leaves a phase as it is
@@ -274,8 +281,48 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
         path[0] += canonical_phases(batch.theta[-1])
         batch.theta = np.add.accumulate(path, axis=0, out=path)
     batch.t += steps
-    batch.cur = cur
+    batch.cur = block[-1]
     return block
+
+
+def _to_keeps(w, est, turns, noise, block, power, done) -> int:
+    """:func:`_chunk`'s loop for one row, phasors ``w`` and stored estimate
+    ``est``: fills ``block`` and returns the steps run.
+
+    Until a keep, every proposal rotates the same phasors, so a pass
+    measures the next ``_WINDOW`` proposals at once (the formula bound once
+    for each window length) and commits the steps through the first strict
+    rise: the stored estimate on each discard, then that proposal's phasors
+    and estimate. ``done`` is tested after each step, in order, and a stop
+    before the keep leaves the phasors as they were.
+    """
+    size = len(block)
+    proposed = np.empty((min(_WINDOW, size),) + w.shape, dtype=complex)
+    total = np.empty(proposed.shape[:2], dtype=complex)
+    measures = {}
+    i = 0
+    while i < size:
+        n = min(_WINDOW, size - i)
+        if n not in measures:
+            measures[n] = magnitude_into(total[:n], power.P, power.slots)
+        np.multiply(w, turns[i:i + n], out=proposed[:n])
+        np.add.reduce(proposed[:n], axis=2, out=total[:n])
+        pm = measures[n](noise[i:i + n])[:, 0]
+        rises = np.flatnonzero(pm > est)
+        end = i + rises[0] if rises.size else i + n  # the pass's discards end here
+        block[i:end] = est
+        if done is not None:
+            for t in range(i, end):
+                if done(block[t]):
+                    return t + 1
+        if rises.size:
+            block[end] = est = pm[rises[0]]
+            w[...] = proposed[rises[0]]
+            end += 1
+            if done is not None and done(block[end - 1]):
+                return end
+        i = end
+    return size
 
 
 def _drive(batch: _Batch, spec, power, max_steps: int, goal, curves=None, thetas=None):

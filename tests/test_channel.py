@@ -326,6 +326,19 @@ def test_measure_noiseless_is_bit_identical():
     assert measure_magnitude(ch, theta, power, rng) == magnitude(ch, theta, 2.0)
 
 
+def test_noiseless_measure_builds_no_generator(monkeypatch):
+    # slot_noise reads no generator when noiseless, so rng=None seeds none from the OS
+    rng = np.random.default_rng(5)
+    ch = generate_channel(8, rng)
+    theta = rng.uniform(0, TWO_PI, 8)
+
+    def refused(seed=None):
+        raise AssertionError("a noiseless measurement built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    assert measure_magnitude(ch, theta, PowerConfig(P=2.0), None) == magnitude(ch, theta, 2.0)
+
+
 def test_measure_is_reproducible():
     ch = ChannelRealization(a=[1.0, 0.5], phi=[0.2, 1.1])
     power = PowerConfig(P=1.0, sigma2=0.3, averaging_slots=16)
@@ -373,6 +386,14 @@ def test_generate_channel_rejects_bad_n():
         message = f"n_s must be an integer >= 1, got {n_s!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_channel(n_s)
+
+
+def test_epsilon_region_answers_a_python_bool():
+    # NumPy-float P and eps make opt - eps a NumPy scalar; the answer is still a bool
+    ch = ChannelRealization(a=[1.0, 1.0], phi=[0.0, 0.0])
+    P, eps = np.float64(2.0), np.float64(0.01)
+    assert epsilon_region_contains(ch, [0.0, 0.1], P, eps) is True
+    assert epsilon_region_contains(ch, [0.0, math.pi], P, eps) is False
 
 
 def test_epsilon_region():

@@ -21,7 +21,7 @@ from distbeam import (
 )
 from distbeam import search
 from distbeam.channel import coherent_magnitude, phasors, rotations
-from distbeam.search import _CHUNK, _CHUNK_VALUES, _chunk, _drive, _start
+from distbeam.search import _CHUNK, _CHUNK_VALUES, _WINDOW, _chunk, _drive, _start
 
 POWER = PowerConfig()
 
@@ -427,6 +427,58 @@ def test_a_block_ends_on_the_step_where_done_first_holds(power, target):
     assert [len(b) for b in blocks] == [256] * (k // 256) + ([k % 256] if k % 256 else [])
     assert batch.t == k
     assert np.array_equal(np.concatenate(blocks), curve[1:k + 1])
+
+
+def _assert_row_zero_matches(lone, pair):
+    assert lone.t == pair.t
+    assert np.array_equal(lone.w, pair.w[:1])
+    assert np.array_equal(lone.cur, pair.cur[:1])
+    assert np.array_equal(lone.theta, pair.theta[:, :1])
+
+
+@pytest.mark.parametrize(
+    "power", [POWER, PowerConfig(P=2.5, sigma2=0.05, averaging_slots=3)],
+    ids=["noiseless", "noisy"],
+)
+def test_a_lone_row_steps_as_in_lockstep(power):
+    # a lone row measures up to _WINDOW proposals a pass and commits through
+    # its first keep; beside a second row, on its own channel and stream, it
+    # steps one step a pass. Chunks of 1, 15, 16, 17 and 37 steps cut the
+    # windows at many offsets, and the two give the same bits
+    spec = PerturbationSpec(delta0=math.pi / 30)
+    lone, pair = _batch(6, 1, power, 2), _batch(6, 2, power, 2)
+    for size in (1, 15, 16, 17, 37):
+        block = _chunk(lone, spec, power, size, None)
+        assert np.array_equal(block, _chunk(pair, spec, power, size, None)[:, :1])
+        _assert_row_zero_matches(lone, pair)
+
+    # keeps a and b (or the start a = 0) under a window apart: the pass after a
+    # measures the discard b - 1 and the keep b at once
+    ref = _batch(6, 1, power, 2)
+    curve = np.concatenate([ref.cur[None], _chunk(ref, spec, power, 64, None)])[:, 0]
+    kept = [0] + (np.flatnonzero(curve[1:] > curve[:-1]) + 1).tolist()
+    a, b = next((a, b) for a, b in zip(kept, kept[1:]) if 3 <= b - a <= _WINDOW)
+
+    def nth_call(m):  # holds first on its m-th call, the test after step m
+        calls = []
+
+        def done(cur):
+            calls.append(cur[0])
+            return len(calls) >= m
+        return done, calls
+
+    # done holds first at b - 1, inside the pass, or at the keep b itself
+    for stop in (b - 1, b):
+        lone, pair = _batch(6, 1, power, 2), _batch(6, 2, power, 2)
+        (lone_done, lone_calls), (pair_done, pair_calls) = nth_call(stop), nth_call(stop)
+        block = _chunk(lone, spec, power, 64, lone_done)
+        assert len(block) == stop
+        assert np.array_equal(block, _chunk(pair, spec, power, 64, pair_done)[:, :1])
+        assert lone_calls == pair_calls == curve[1:stop + 1].tolist()
+        _assert_row_zero_matches(lone, pair)
+        block = _chunk(lone, spec, power, 37, None)  # and on from there
+        assert np.array_equal(block, _chunk(pair, spec, power, 37, None)[:, :1])
+        _assert_row_zero_matches(lone, pair)
 
 
 @pytest.mark.parametrize(
