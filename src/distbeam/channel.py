@@ -88,15 +88,20 @@ class ChannelRealization:
         return self.a.shape[0]
 
 
+def _number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind`` of number; a bool, an int to Python, is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)  # numbers counts no NumPy bool
+
+
 def _whole(name: str, value, low: int) -> None:
     """Refuse ``value``, naming ``name``, unless it is an integer >= ``low`` (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if not _number(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _positive(name: str, value) -> None:
-    """Refuse ``value``, naming ``name``, unless it is a finite real > 0."""
-    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    """Refuse ``value``, naming ``name``, unless it is a finite real > 0 (not a bool)."""
+    if not _number(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -111,7 +116,7 @@ class PowerConfig:
 
     def __post_init__(self):
         _positive("P", self.P)
-        if not isinstance(self.sigma2, numbers.Real) or not 0 <= self.sigma2 < math.inf:
+        if not _number(self.sigma2) or not 0 <= self.sigma2 < math.inf:
             raise ValueError("sigma2 must be nonnegative and finite")
         _whole("averaging_slots", self.averaging_slots, 1)
 

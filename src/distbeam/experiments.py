@@ -109,23 +109,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        ns = tuple(np.atleast_1d(np.asarray(self.n_s_values)).tolist())
+        ns = tuple(np.atleast_1d(np.array(self.n_s_values, dtype=object)))  # items as given
         if not ns:
             raise ValueError("n_s list must be non-empty")
         for n in ns:
             _whole("n_s", n, 1)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_s values must be strictly increasing")
-        object.__setattr__(self, "n_s_values", ns)
+        object.__setattr__(self, "n_s_values", tuple(map(int, ns)))
         _whole("trials", self.trials, 1)
-        alphas = tuple(float(a) for a in np.atleast_1d(self.alpha))
+        alphas = tuple(np.atleast_1d(np.array(self.alpha, dtype=object)))  # items as given
         if not alphas:
             raise ValueError("alpha list must be non-empty")
         for a in alphas:
-            StopRule(0, alpha=a)  # checks each alpha
+            StopRule(0, alpha=a)  # checks each alpha before the cast
         if len(set(alphas)) < len(alphas):
             raise ValueError("alpha values must not repeat")
-        object.__setattr__(self, "alpha", alphas)
+        object.__setattr__(self, "alpha", tuple(map(float, alphas)))
         StopRule(0, eps=self.eps)  # checks eps
         self.power()  # checks P, sigma2 and averaging_slots
         self.perturbation()  # checks delta0

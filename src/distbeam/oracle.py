@@ -31,7 +31,9 @@ from .channel import (
     optimal_magnitude,
 )
 from .experiments import key_value_text
-from .search import _CHUNK_VALUES, PerturbationSpec, Trajectory
+from .search import PerturbationSpec, Trajectory
+
+_SLICE_VALUES = 1 << 14  # most values one improvement slice draws: ~40 B each stay in L2
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,8 @@ def estimate_improvement_probability(
     estimate is meaningless and the status says so. When ``gamma`` is not
     given, gamma_hat is the median positive improvement and eta_hat is the
     fraction of samples improving by at least gamma_hat. Samples are drawn and
-    evaluated in slices of the search kernel's draw budget; only one float a
-    sample, its improvement, outlives its slice.
+    evaluated in slices of ``_SLICE_VALUES`` values, whose temporaries fit in
+    L2; only one float a sample, its improvement, outlives its slice.
     """
     _whole("samples", samples, 1)
     PerturbationSpec(delta0)  # the search's own check
@@ -198,7 +200,7 @@ def estimate_improvement_probability(
     status, gamma_hat, eta_hat, k0 = "in-epsilon-region", None, None, None
     if not epsilon_region_contains(channel, theta, P, eps):
         rng = np.random.default_rng(rng)
-        rows = max(1, _CHUNK_VALUES // channel.n_s)
+        rows = max(1, _SLICE_VALUES // channel.n_s)
         improvements = np.empty(samples)
         for start in range(0, samples, rows):  # sliced draws equal one draw of all
             part = improvements[start:start + rows]

@@ -25,6 +25,7 @@ from .channel import (
     PowerConfig,
     SeedLike,
     _check_theta,
+    _number,
     _positive,
     _whole,
     canonical_phases,
@@ -53,7 +54,7 @@ class PerturbationSpec:
     delta0: float
 
     def __post_init__(self):
-        if not 0 < self.delta0 <= math.pi:
+        if not _number(self.delta0) or not 0 < self.delta0 <= math.pi:
             raise ValueError("delta0 must be in (0, pi]")
 
 
@@ -82,7 +83,7 @@ class StopRule:
             raise ValueError("stop rule takes eps or alpha, not both")
         if self.eps is not None:
             _positive("eps", self.eps)
-        if self.alpha is not None and not 0 < self.alpha <= 1:
+        if self.alpha is not None and not (_number(self.alpha) and 0 < self.alpha <= 1):
             raise ValueError("alpha must be in (0, 1]")
 
     @staticmethod

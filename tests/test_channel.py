@@ -162,7 +162,7 @@ def test_power_config_validation():
     with pytest.raises(ValueError):
         PowerConfig(averaging_slots=0)
     # a non-integral slot count is refused by name, before any search steps on it
-    for bad in (1.5, 2.0, "3", True):
+    for bad in (1.5, 2.0, "3", True, np.True_):
         with pytest.raises(ValueError, match=r"^averaging_slots must be an integer >= 1"):
             PowerConfig(sigma2=0.01, averaging_slots=bad)
     PowerConfig(sigma2=0.01, averaging_slots=np.int64(3))  # NumPy ints pass
@@ -172,7 +172,8 @@ def test_power_config_validation():
         with pytest.raises(ValueError, match="sigma2 must"):
             PowerConfig(sigma2=bad)
     # a complex sigma2 is refused, not cast to its real part as the noise is scaled
-    for bad in (np.complex128(0.01), 0.01 + 0j):
+    # and so is a bool, which Python would compare as 0 or 1
+    for bad in (np.complex128(0.01), 0.01 + 0j, True, False, np.True_, np.False_):
         with pytest.raises(ValueError, match="^sigma2 must be nonnegative and finite$"):
             PowerConfig(sigma2=bad)
     with pytest.raises(ValueError):
@@ -447,6 +448,7 @@ _TAKES = {
         "magnitude_batch": lambda P: magnitude_batch(_CH3, _THETA3[None], P),
         "optimal_magnitude": lambda P: optimal_magnitude(_CH3, P),
         "epsilon_region_contains": lambda P: epsilon_region_contains(_CH3, _THETA3, P, 0.1),
+        "PowerConfig": lambda P: PowerConfig(P=P),
     },
     "eps": {
         "StopRule": lambda eps: StopRule(5, eps=eps),
@@ -465,9 +467,14 @@ _TAKES = {
     },
 }
 _BAD = {
+    # a bool is an int to Python, but no power or distance
     "P": [("inf", math.inf, "^P must be positive"), ("nan", math.nan, "^P must be positive"),
-          ("0", 0.0, "^P must be positive"), ("-1", -1.0, "^P must be positive")],
-    "eps": [("inf", math.inf, "^eps must be positive"), ("0", 0.0, "^eps must be positive")],
+          ("0", 0.0, "^P must be positive"), ("-1", -1.0, "^P must be positive"),
+          ("bool", True, "^P must be positive"), ("np-bool", np.True_, "^P must be positive"),
+          ("complex", 1.0 + 0j, "^P must be positive")],
+    "eps": [("inf", math.inf, "^eps must be positive"), ("0", 0.0, "^eps must be positive"),
+            ("bool", True, "^eps must be positive"), ("np-bool", np.True_, "^eps must be positive"),
+            ("complex", 0.1 + 0j, "^eps must be positive")],
     "theta": [
         ("complex-array", np.array([1j, 0, 0]), "^theta must be real$"),
         ("complex-list", [1j, 0.0, 0.0], "^theta must be real$"),

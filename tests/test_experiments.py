@@ -145,6 +145,22 @@ def test_config_accepts_scalar_alpha():
     assert cfg.alpha == (0.5,)
 
 
+@pytest.mark.parametrize("key,rule", [("alpha", r"in \(0, 1\]"), ("delta0", r"in \(0, pi\]"),
+                                      ("P", "positive"), ("eps", "positive"),
+                                      ("sigma2", "nonnegative")])
+def test_config_refuses_a_bool_or_complex_real_naming_it(key, rule):
+    # True would pass as 1 and a complex value would raise TypeError from <;
+    # alpha is checked before its float cast, so no list item slips through as 1.0
+    bads = [True, np.True_, 0.5 + 0j] + ([(0.5, True), [0.5, 0.7 + 0j]] if key == "alpha" else [])
+    for bad in bads + ([False] if key == "sigma2" else []):
+        with pytest.raises(ValueError, match=rf"^{key} must be {rule}"):
+            ExperimentConfig(**{key: bad})
+    # NumPy floats, arrays and 0-d arrays of alphas pass and come out as Python floats
+    assert ExperimentConfig(alpha=np.array([0.5, 0.7])).alpha == (0.5, 0.7)
+    assert ExperimentConfig(alpha=np.float32(0.5)).alpha == (0.5,)
+    assert ExperimentConfig(alpha=np.array(0.5)).alpha == (0.5,)
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -194,7 +210,7 @@ def test_config_refuses_a_non_integral_size_or_seed_naming_it(field, key):
                 averaging_slots=2, master_seed=np.uint32(1))
     ExperimentConfig(**ints)  # Python and NumPy ints pass
     # a bool is an int to Python, but no size or seed
-    for bad in [(4.0,), (True,)] if field == "n_s_values" else [1.5, True, False]:
+    for bad in [(4.0,), (True,), (True, 8)] if field == "n_s_values" else [1.5, True, False]:
         with pytest.raises(ValueError, match=rf"^{key} must be an integer"):
             ExperimentConfig(**{**ints, field: bad})
 

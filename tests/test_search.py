@@ -147,8 +147,10 @@ def test_perturbation_mean_is_zero():
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(delta0=0.0)
-    for bad in (math.pi + 1e-9, math.inf, math.nan):
-        with pytest.raises(ValueError, match="delta0"):
+    # a bool or a complex number is refused by name, not compared as 1 rad or raising TypeError
+    for bad in (math.pi + 1e-9, math.inf, math.nan, True, np.True_, 0.05 + 0j,
+                np.complex128(0.05)):
+        with pytest.raises(ValueError, match=r"^delta0 must be in \(0, pi\]$"):
             PerturbationSpec(delta0=bad)
     assert PerturbationSpec(delta0=math.pi).delta0 == math.pi
 
@@ -350,6 +352,11 @@ def test_stop_rule_validation():
         StopRule(10, alpha=1.5)
     with pytest.raises(ValueError):
         StopRule(10, eps=0.0)
+    for bad in (True, np.True_, 0.5 + 0j, np.complex128(0.5)):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
+            StopRule(10, alpha=bad)
+        with pytest.raises(ValueError, match="^eps must be positive and finite$"):
+            StopRule(10, eps=bad)
 
 
 @pytest.mark.parametrize("max_steps", [2.5, np.float64(3.0), True, False],
