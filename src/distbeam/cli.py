@@ -179,14 +179,13 @@ def _run_study(args, config: ExperimentConfig) -> int:
     of the subcommand then the study's own keys) and print one line. Exit code
     2 when the study missed: a run outside the eps region at its horizon, an
     unresolved hitting time, or a first-passage point with every run censored."""
-    kind, n_s = config.kind, CONFIG_SCHEMA["n_s"].format(config.n_s_values)
+    kind = config.kind
     if kind == "sample-path":
         curves, reached = run_sample_paths(config)
         csv_name, csv = "sample_paths.csv", sample_paths_csv(curves)
-        keys = {"runs": config.trials, "n_s": n_s,
-                "steps": ",".join(str(len(c) - 1) for c in curves),
-                "final_mags": ",".join(repr(c[-1].item()) for c in curves)}
-        line = f"{config.trials} runs, n_s={n_s}"
+        keys = {"runs": config.trials, "n_s": config.n_s_values,
+                "steps": [len(c) - 1 for c in curves], "final_mags": [c[-1] for c in curves]}
+        line = f"{config.trials} runs, n_s={config.single_n_s()}"
         missed = reached is not None and not reached.all()
     else:
         hitting = kind == "hitting-time"
@@ -195,9 +194,9 @@ def _run_study(args, config: ExperimentConfig) -> int:
         csv = (hitting_time_csv if hitting else avg_convergence_csv)(results)
         points = [p for r in results for p in r.points]
         count = sum((p.hitting_time is None) if hitting else p.censored for p in points)
-        keys = {"alphas": CONFIG_SCHEMA["alpha"].format(config.alpha), "n_s": n_s,
-                "trials": config.trials, "unresolved" if hitting else "censored_total": count,
-                "increment_identity_max_dev": repr(results[0].increment_identity_max_dev)}
+        keys = {"alphas": config.alpha, "n_s": config.n_s_values, "trials": config.trials,
+                "unresolved" if hitting else "censored_total": count,
+                "increment_identity_max_dev": results[0].increment_identity_max_dev}
         line = (f"{len(results)} alphas x {len(config.n_s_values)} n_s, "
                 f"{count} {'unresolved' if hitting else 'censored'}")
         missed = count > 0 if hitting else any(p.trials == 0 for p in points)

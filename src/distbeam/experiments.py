@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import _whole, generate_channel, PowerConfig
+from .channel import _whole, generate_channel, optimal_magnitude, PowerConfig
 from .search import PerturbationSpec, StopRule, _drive, _start
 
 EXPERIMENT_KINDS = ("sample-path", "hitting-time", "avg-convergence")
@@ -57,9 +57,27 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle: {text!r}") from None
 
 
+def value_text(value) -> str:
+    """The one rule for writing a value: a float (NumPy's included) as the
+    ``repr`` of a Python float, a tuple or list item by item joined by commas,
+    None as empty, anything else by ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(value_text, value))
+    return "" if value is None else str(value)
+
+
+def key_value_text(fields: dict, sep: str = "\n") -> str:
+    """``key=value`` per field, each followed by ``sep`` and written by
+    :func:`value_text`: the one writer of configs, manifests, summaries and
+    check reports."""
+    return "".join(f"{key}={value_text(value)}{sep}" for key, value in fields.items())
+
+
 class ConfigKey(NamedTuple):
     """One config-file key: the ExperimentConfig field it sets, the parser of
-    its text and the canonical formatter. Its CLI flag is ``--`` plus the key
+    its text and its formatter. Its CLI flag is ``--`` plus the key
     with ``_`` turned into ``-``."""
 
     field: str
@@ -67,9 +85,9 @@ class ConfigKey(NamedTuple):
     format: Callable[[object], str]
 
 
-def _key(default, parse=str, format=str, key=None):
-    """A config field: its default, the parser of its text, its canonical
-    formatter and its config-file key (the field name unless given)."""
+def _key(default, parse=str, format=value_text, key=None):
+    """A config field: its default, the parser of its text, its formatter (the
+    value rule unless given) and its config-file key (the field name unless given)."""
     return dataclasses.field(default=default,
                              metadata={"key": key, "parse": parse, "format": format})
 
@@ -89,15 +107,13 @@ class ExperimentConfig:
     """
 
     kind: str = _key("hitting-time")
-    n_s_values: tuple[int, ...] = _key(
-        (10,), _comma_list(int), lambda v: ",".join(map(str, v)), key="n_s")
+    n_s_values: tuple[int, ...] = _key((10,), _comma_list(int), key="n_s")
     trials: int = _key(100, int)
-    alpha: tuple[float, ...] = _key((0.9,), _comma_list(float), lambda v: ",".join(map(repr, v)))
-    eps: float | None = _key(
-        None, lambda t: None if t == "" else float(t), lambda v: "" if v is None else repr(v))
-    delta0: float = _key(math.pi / 90.0, parse_angle, repr)
-    P: float = _key(1.0, float, repr)
-    sigma2: float = _key(0.0, float, repr)
+    alpha: tuple[float, ...] = _key((0.9,), _comma_list(float))
+    eps: float | None = _key(None, lambda t: None if t == "" else float(t))
+    delta0: float = _key(math.pi / 90.0, parse_angle)
+    P: float = _key(1.0, float)
+    sigma2: float = _key(0.0, float)
     averaging_slots: int = _key(1, int)
     init_mode: str = _key("origin")
     channel_policy: str = _key("redrawn-per-trial")
@@ -138,7 +154,7 @@ class ExperimentConfig:
         if self.horizon is not None:
             _whole("horizon", self.horizon, 1)
         _whole("master_seed", self.master_seed, 0)
-        for name in ("eps", "delta0", "P", "sigma2"):  # a NumPy float dumps as np.float64(...)
+        for name in ("eps", "delta0", "P", "sigma2"):  # held as Python floats, as parsed
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -148,7 +164,7 @@ class ExperimentConfig:
     def single_n_s(self) -> int:
         """The n_s of a run over one channel size: sample paths and verify checks."""
         if len(self.n_s_values) != 1:
-            raise ValueError(f"expected a single n_s, got n_s={','.join(map(str, self.n_s_values))}")
+            raise ValueError(f"expected a single n_s, got n_s={value_text(self.n_s_values)}")
         return self.n_s_values[0]
 
     def power(self) -> PowerConfig:
@@ -203,12 +219,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def key_value_text(fields: dict, sep: str = "\n") -> str:
-    """``key=value`` per field, each followed by ``sep``: the one writer of
-    configs, manifests, summaries and check reports."""
-    return "".join(f"{key}={value}{sep}" for key, value in fields.items())
 
 
 def dump_config(config: ExperimentConfig) -> str:
@@ -282,7 +292,8 @@ def _run_lockstep(
     power = config.power()
     batch = _start(channels, config.init_mode, power, rngs)
     batch.theta = None  # no study reads phases
-    goal = np.asarray(goals(math.sqrt(config.P) * batch.amps.sum(axis=1)), dtype=float)
+    goal = np.asarray(goals(np.array([optimal_magnitude(ch, config.P) for ch in channels])),
+                      dtype=float)
     if curves is not None:  # a trial short of its goals may store a value every step
         _check_fits(config, n_s, held * int((batch.cur < goal.max(axis=0)).sum()))
     return _drive(batch, config.perturbation(), power, horizon, goal, curves)
@@ -435,9 +446,14 @@ def sample_paths_csv(curves: list[np.ndarray]) -> str:
     """CSV with columns step,run_id,mag; rows grouped by run, steps ascending."""
     lines = ["step,run_id,mag"]
     for run_id, curve in enumerate(curves):
-        for t, mag in enumerate(curve.tolist()):
+        for t, mag in enumerate(curve.tolist()):  # Python floats: !r is value_text's rule
             lines.append(f"{t},{run_id},{mag!r}")
     return "\n".join(lines) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """A header line, then each row's values by :func:`value_text`."""
+    return "".join(line + "\n" for line in [header, *map(value_text, rows)])
 
 
 def hitting_time_csv(results: list[HittingTimeResult]) -> str:
@@ -446,22 +462,13 @@ def hitting_time_csv(results: list[HittingTimeResult]) -> str:
     An unresolved hitting time (the mean never crossed within the horizon)
     renders as an empty hitting_time field; the fit covers resolved rows.
     """
-    lines = ["n_s,alpha,hitting_time,slope,intercept,r2"]
-    for res in results:
-        for p in res.points:
-            ht = "" if p.hitting_time is None else str(p.hitting_time)
-            lines.append(
-                f"{p.n_s},{res.alpha!r},{ht},{res.slope!r},{res.intercept!r},{res.r_squared!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return _csv("n_s,alpha,hitting_time,slope,intercept,r2",
+                [(p.n_s, r.alpha, p.hitting_time, r.slope, r.intercept, r.r_squared)
+                 for r in results for p in r.points])
 
 
 def avg_convergence_csv(results: list[ConvergenceTimeResult]) -> str:
     """CSV with columns n_s,alpha,mean_time,std_time,censored."""
-    lines = ["n_s,alpha,mean_time,std_time,censored"]
-    for res in results:
-        for p in res.points:
-            lines.append(
-                f"{p.n_s},{res.alpha!r},{p.mean_time!r},{p.std_time!r},{p.censored}"
-            )
-    return "\n".join(lines) + "\n"
+    return _csv("n_s,alpha,mean_time,std_time,censored",
+                [(p.n_s, r.alpha, p.mean_time, p.std_time, p.censored)
+                 for r in results for p in r.points])

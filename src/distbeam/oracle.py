@@ -61,7 +61,7 @@ class GridSpec:
 class _Report:
     """A check's result. ``to_text`` renders ``check``, then ``status`` (the
     report's own field if it has one, else pass or fail), then every scalar
-    field in declaration order: floats by ``repr``, None as an empty value."""
+    field in declaration order as :func:`distbeam.experiments.value_text` writes it."""
 
     check: ClassVar[str]
 
@@ -70,10 +70,8 @@ class _Report:
         text = {"check": self.check, "status": "pass" if self.passed else "fail"}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float):
-                value = repr(value)
             if not isinstance(value, (tuple, np.ndarray)):
-                text[f.name] = "" if value is None else value
+                text[f.name] = value
         return key_value_text(text)
 
 
@@ -112,15 +110,13 @@ def verify_local_equals_global(
     channel: ChannelRealization,
     P: float,
     grid: GridSpec,
-    tol: float | None = None,
 ) -> LocalMaxReport:
-    """Flag grid points that beat every neighbor by more than ``tol`` yet sit
-    more than ``tol`` below the global optimum. Expected: none."""
+    """Flag grid points that beat every neighbor by more than ``tol``, 1e-9 of
+    the optimum, yet sit more than ``tol`` below it. Expected: none."""
     if grid.n_s != channel.n_s:
         raise ValueError("grid n_s does not match the channel")
     opt = optimal_magnitude(channel, P)
-    if tol is None:
-        tol = 1e-9 * opt
+    tol = 1e-9 * opt
     mags = _grid_magnitudes(channel, P, grid.resolution)
     d = channel.n_s - 1
     best_idx = np.unravel_index(np.argmax(mags), mags.shape)
@@ -255,10 +251,9 @@ def verify_shift_invariance(
     P: float = 1.0,
     trials: int = 1000,
     rng: SeedLike = None,
-    tol: float = 1e-12,
 ) -> ShiftInvarianceReport:
     """Max |Mag(theta + c e) - Mag(theta)| over random (theta, c) pairs,
-    relative to the optimum; must sit at double-precision noise."""
+    relative to the optimum; must sit at double-precision noise, 1e-12."""
     _whole("trials", trials, 1)
     rng = np.random.default_rng(rng)
     thetas = rng.uniform(0.0, TWO_PI, (trials, channel.n_s))
@@ -268,7 +263,7 @@ def verify_shift_invariance(
     opt = optimal_magnitude(channel, P)
     max_dev = float(np.max(np.abs(shifted - base))) / opt
     return ShiftInvarianceReport(
-        n_s=channel.n_s, trials=trials, max_dev_rel=max_dev, tol=tol
+        n_s=channel.n_s, trials=trials, max_dev_rel=max_dev, tol=1e-12
     )
 
 
@@ -287,11 +282,9 @@ class IncrementReport(_Report):
 
 
 
-def verify_monotone_and_increment(
-    traj: Trajectory, tol: float = 1e-9
-) -> IncrementReport:
+def verify_monotone_and_increment(traj: Trajectory) -> IncrementReport:
     """Check a noiseless trajectory is non-decreasing and that the final
-    magnitude telescopes to the initial one plus the recorded increments."""
+    magnitude telescopes to the initial one plus the recorded increments, to 1e-9."""
     if traj.power.slots:
         raise ValueError("increment verification is defined for noiseless trajectories")
     curve = traj.magnitudes()
@@ -304,5 +297,5 @@ def verify_monotone_and_increment(
         n_steps=traj.n_steps,
         first_violation_step=first_violation,
         telescope_dev_rel=dev_rel,
-        tol=tol,
+        tol=1e-9,
     )

@@ -498,11 +498,16 @@ _THETA = np.array([0.1, 0.2])
                              2.0, 0.2),
          "check=improvement-probability\nstatus=no-improvement-observed\ngamma_hat=0.5\n"
          "eta_hat=0.0\nk0_diag=\nsamples=500\nmag_at_theta=0.5\nopt_mag=2.0\neps=0.2\n"),
+        (ImprovementEstimate("in-epsilon-region", None, None, None, 1000, _THETA,
+                             np.float64(1.95), np.float32(2.0), np.float64(0.2)),
+         "check=improvement-probability\nstatus=in-epsilon-region\ngamma_hat=\neta_hat=\n"
+         "k0_diag=\nsamples=1000\nmag_at_theta=1.95\nopt_mag=2.0\neps=0.2\n"),
     ],
     ids=["local-max-pass", "local-max-fail", "shift-pass", "shift-fail", "increment-pass",
          "increment-drop", "increment-telescope", "improvement-ok", "improvement-in-region",
-         "improvement-none-seen", "improvement-eta-zero"],
+         "improvement-none-seen", "improvement-eta-zero", "improvement-numpy-floats"],
 )
 def test_report_text_is_pinned(report, text):
-    # check, status, then every scalar field in order; tuples and arrays left out
+    # check, status, then every scalar field in order, NumPy floats as Python
+    # floats; tuples and arrays left out
     assert report.to_text() == text
