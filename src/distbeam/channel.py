@@ -14,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# most values worked on at once in one slice of draws, so that its
+# temporaries stay in a core's L2: an improvement slice holds ~40 B a value,
+# a kernel block of rotations 16 B
+_SLICE_VALUES = 1 << 14
 
 SeedLike = int | np.random.SeedSequence | np.random.Generator | None
 
@@ -144,8 +148,13 @@ def rotations(a, x) -> np.ndarray:
     """e^{j(x_i - x_r)} over the last axis of ``x``, relative to its entry at
     the strongest transmitter r = argmax a (one r per row of ``a``)."""
     r = np.broadcast_to(np.argmax(a, axis=-1)[..., None], x.shape[:-1] + (1,))
-    out = np.empty(x.shape, dtype=complex)  # the differences wait in out.imag
-    rel = np.subtract(x, np.take_along_axis(x, r, axis=-1), out=out.imag)
+    return _rotate(x, np.take_along_axis(x, r, axis=-1), np.empty(x.shape, dtype=complex))
+
+
+def _rotate(x, ref, out) -> np.ndarray:
+    """e^{j(x - ref)} written into ``out``, a complex array shaped as ``x``;
+    the differences wait in out.imag."""
+    rel = np.subtract(x, ref, out=out.imag)
     np.cos(rel, out=out.real)
     np.sin(rel, out=rel)
     return out

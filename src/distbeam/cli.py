@@ -24,6 +24,7 @@ from .experiments import (
     _check_fits,
     avg_convergence_csv,
     config_from_items,
+    config_texts,
     dump_config,
     hitting_time_csv,
     key_value_text,
@@ -32,6 +33,7 @@ from .experiments import (
     run_hitting_time_sweep,
     run_sample_paths,
     sample_paths_csv,
+    value_text,
 )
 from .oracle import (
     GridSpec,
@@ -137,15 +139,17 @@ def _refuse_unread_keys(args, config: ExperimentConfig) -> None:
     does not read and that is away from its default: it would drop it silently."""
     reads = _reads(args, config)
     default = ExperimentConfig()
-    settings = [(key, row.format, getattr(config, row.field), getattr(default, row.field))
-                for key, row in CONFIG_SCHEMA.items() if key != "kind"]
-    settings += [(flag, str, getattr(args, flag, usual), usual)
+    texts, usual_texts = config_texts(config), config_texts(default)
+    # (key, whether it is away from its default, its text, the default's text)
+    settings = [(key, getattr(config, row.field) != getattr(default, row.field), texts[key],
+                 usual_texts[key]) for key, row in CONFIG_SCHEMA.items() if key != "kind"]
+    settings += [(flag, getattr(args, flag, usual) != usual, getattr(args, flag, usual), usual)
                  for flag, (usual, _) in _VERIFY_FLAGS.items()]
-    for key, fmt, value, usual in settings:
-        if key not in reads and value != usual:
+    for key, changed, text, usual in settings:
+        if key not in reads and changed:
             name = f"verify --check {args.check}" if hasattr(args, "check") else args.subcommand
-            raise ValueError(f"{name} does not read {key}: got {key}={fmt(value)}, "
-                             f"expected the default {key}={fmt(usual)}")
+            raise ValueError(f"{name} does not read {key}: got {key}={text}, "
+                             f"expected the default {key}={usual}")
 
 
 def emit_reproduction_bundle(
@@ -164,9 +168,9 @@ def emit_reproduction_bundle(
     for name, text in files.items():
         (outdir / name).write_text(text, encoding="utf-8", newline="\n")
     manifest = {
-        "seed": str(config.master_seed),
+        "seed": value_text(config.master_seed),
         "config": "resolved.cfg",
-        "files": ",".join(sorted(files)),
+        "files": value_text(sorted(files)),
     }
     for name in sorted(files):
         manifest[f"sha256.{name}"] = hashlib.sha256(files[name].encode("utf-8")).hexdigest()
@@ -248,8 +252,9 @@ def _sizes(args, config: ExperimentConfig) -> str:
     trials, averaging_slots (when noisy) and horizon, then the verify size flag
     its check reads."""
     reads = _reads(args, config)
-    sizes = {key: row.format(getattr(config, row.field)) for key, row in CONFIG_SCHEMA.items()
-             if key in reads and key in ("n_s", "trials", "averaging_slots", "horizon")}
+    texts = config_texts(config)
+    sizes = {key: texts[key] for key in ("n_s", "trials", "averaging_slots", "horizon")
+             if key in reads}
     sizes.update((flag, getattr(args, flag)) for flag in _VERIFY_FLAGS if flag in reads)
     return key_value_text(sizes, " ").rstrip()
 

@@ -221,11 +221,14 @@ def load_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+def config_texts(config: ExperimentConfig) -> dict[str, str]:
+    """Each config key's value in ``config`` as written, by its formatter."""
+    return {key: row.format(getattr(config, row.field)) for key, row in CONFIG_SCHEMA.items()}
+
+
 def dump_config(config: ExperimentConfig) -> str:
     """Canonical key=value rendering; parse_config_text round-trips exactly."""
-    return key_value_text(
-        {key: row.format(getattr(config, row.field)) for key, row in CONFIG_SCHEMA.items()}
-    )
+    return key_value_text(config_texts(config))
 
 
 def trial_seed_sequence(master_seed: int, n_s: int, trial: int) -> np.random.SeedSequence:

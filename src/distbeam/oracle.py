@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import (
     TWO_PI,
+    _SLICE_VALUES,
     ChannelRealization,
     SeedLike,
     _check_theta,
@@ -32,8 +33,6 @@ from .channel import (
 )
 from .experiments import key_value_text
 from .search import PerturbationSpec, Trajectory
-
-_SLICE_VALUES = 1 << 14  # most values one improvement slice draws: ~40 B each stay in L2
 
 
 @dataclass(frozen=True)

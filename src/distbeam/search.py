@@ -21,12 +21,14 @@ import numpy as np
 
 from .channel import (
     TWO_PI,
+    _SLICE_VALUES,
     ChannelRealization,
     PowerConfig,
     SeedLike,
     _check_theta,
     _number,
     _positive,
+    _rotate,
     _whole,
     canonical_phases,
     coherent_magnitude,
@@ -34,7 +36,6 @@ from .channel import (
     measure_magnitude,
     optimal_magnitude,
     phasors,
-    rotations,
     slot_noise,
 )
 
@@ -181,7 +182,9 @@ class _Batch:
     magnitude estimates, each row's perturbation and noise generators (read
     only when noisy) and the steps taken. ``theta`` holds the accepted phases
     after each step of the last block, (steps, rows, n_s); before the first
-    block, the initial phases as one step."""
+    block, the initial phases as one step. ``turns`` is the one flat buffer
+    that every block of rotations of every chunk reuses, grown to the largest
+    block run."""
 
     amps: np.ndarray
     theta: np.ndarray | None
@@ -190,6 +193,7 @@ class _Batch:
     rngs: list
     noise_rngs: list | None
     t: int = 0
+    turns: np.ndarray | None = None
 
     def keep(self, stay) -> None:
         """Drop the rows where ``stay`` is False, with their streams and phases."""
@@ -231,13 +235,13 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
 
     Each row's uniform draws land in one chunk buffer, mapped to
     [-delta0, delta0] in one pass as ``Generator.uniform`` maps them.
-    Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}, and
-    the row sums are measured by the one magnitude formula, bound here to
-    them (:func:`magnitude_into`), in buffers allocated here and freed on
-    return, before the next chunk allocates its own. Rows of a wider batch
-    keep on different steps, so they step in lockstep: a step is a fixed run
-    of ufunc calls, and the only Python functions it calls are that
-    ``measure`` and ``done``. A lone row steps to its next keep in one pass
+    Proposed phasors are the stored ones times e^{j(delta_i - delta_r)}:
+    these rotations are formed a block of at most ``_SLICE_VALUES`` values
+    (one step at least) at a time, step-major in ``batch.turns``, just before
+    the block is stepped, so a chunk holds 8 bytes a drawn value plus one
+    block, and a stop skips the trig of the blocks after it. Rows of a wider
+    batch keep on different steps, so they step in lockstep
+    (:func:`_lockstep`); a lone row steps to its next keep in one pass
     (:func:`_to_keeps`), with the same ufuncs on each proposal, so its
     estimates are the same bits either way. Tracked phases are summed once,
     in step order, from the kept draws.
@@ -250,31 +254,24 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     deltas *= d0 - (-d0)
     deltas += -d0
     deltas = deltas.swapaxes(0, 1)
-    turns = rotations(batch.amps, deltas)
     noise = slot_noise(batch.noise_rngs, power, size)
     block = np.empty((size, rows))
-    start = cur = batch.cur
-    steps = size
-    w = batch.w
-    if rows == 1:
-        steps = _to_keeps(w, cur[0], turns, noise, block, power, done)
-    else:
-        proposed = np.empty_like(w)
-        total = np.empty(rows, dtype=complex)
-        measure = magnitude_into(total, power.P, power.slots)
-        keep = np.empty(rows, dtype=bool)
-        keep_col = keep[:, None]
-        for i, (turn, w_slots, row) in enumerate(zip(turns, noise, block)):
-            np.multiply(w, turn, out=proposed)
-            np.add.reduce(proposed, axis=1, out=total)
-            pm = measure(w_slots)
-            np.greater(pm, cur, out=keep)
-            np.copyto(w, proposed, where=keep_col)
-            cur = np.maximum(cur, pm, out=row)
-            if done is not None and done(cur):
-                steps = i + 1
-                break
-    block = block[:steps]
+    span = min(size, max(1, _SLICE_VALUES // (rows * n_s)))  # the steps of a block
+    if batch.turns is None or batch.turns.size < span * rows * n_s:
+        batch.turns = np.empty(span * rows * n_s, dtype=complex)
+    turns = batch.turns[:span * rows * n_s].reshape(span, rows, n_s)
+    # each step's draw at each row's strongest transmitter, as rotations takes it
+    ref = np.take_along_axis(deltas, batch.amps.argmax(axis=1)[None, :, None], axis=-1)
+    step = (_to_keeps if rows == 1 else _lockstep)(batch.w, power, done)
+    start = batch.cur
+    for lo in range(0, size, span):  # a block's rotations, then its steps
+        hi = min(lo + span, size)
+        _rotate(deltas[lo:hi], ref[lo:hi], turns[:hi - lo])
+        stop = step(block[lo - 1] if lo else start, turns[:hi - lo], noise[lo:hi], block[lo:hi])
+        if stop is not None:
+            block = block[:lo + stop]
+            break
+    steps = len(block)
     if batch.theta is not None:
         # a discard adds +-0, which leaves a phase as it is
         path = deltas[:steps]
@@ -286,44 +283,74 @@ def _chunk(batch: _Batch, spec, power, size: int, done) -> np.ndarray:
     return block
 
 
-def _to_keeps(w, est, turns, noise, block, power, done) -> int:
-    """:func:`_chunk`'s loop for one row, phasors ``w`` and stored estimate
-    ``est``: fills ``block`` and returns the steps run.
+def _lockstep(w, power, done):
+    """:func:`_chunk`'s stepping of a batch of rows, phasors ``w`` updated in
+    place, with its buffers and bound ``measure`` made once a chunk: returns
+    ``step(cur, turns, noise, block)``, which steps from the stored estimates
+    ``cur`` through one block of steps' rotations ``turns`` and fills
+    ``block``. It returns the steps run through the first after which
+    ``done`` holds, or None when the whole block ran. A step is one pass, a
+    fixed run of ufunc calls whose only Python functions are ``measure`` and
+    ``done``."""
+    proposed = np.empty_like(w)
+    total = np.empty(len(w), dtype=complex)
+    measure = magnitude_into(total, power.P, power.slots)
+    keep = np.empty(len(w), dtype=bool)
+    keep_col = keep[:, None]
 
-    Until a keep, every proposal rotates the same phasors, so a pass
-    measures the next ``_WINDOW`` proposals at once (the formula bound once
-    for each window length) and commits the steps through the first strict
-    rise: the stored estimate on each discard, then that proposal's phasors
-    and estimate. ``done`` is tested after each step, in order, and a stop
-    before the keep leaves the phasors as they were.
+    def step(cur, turns, noise, block) -> int | None:
+        for i, (turn, w_slots, row) in enumerate(zip(turns, noise, block)):
+            np.multiply(w, turn, out=proposed)
+            np.add.reduce(proposed, axis=1, out=total)
+            pm = measure(w_slots)
+            np.greater(pm, cur, out=keep)
+            np.copyto(w, proposed, where=keep_col)
+            cur = np.maximum(cur, pm, out=row)
+            if done is not None and done(cur):
+                return i + 1
+        return None
+    return step
+
+
+def _to_keeps(w, power, done):
+    """:func:`_lockstep` for one row. Until a keep, every proposal rotates the
+    same phasors, so a pass measures the next ``_WINDOW`` proposals at once
+    (the formula bound once for each window length) and commits the steps
+    through the first strict rise: the stored estimate on each discard, then
+    that proposal's phasors and estimate. ``done`` is tested after each step,
+    in order, and a stop before the keep leaves the phasors as they were.
     """
-    size = len(block)
-    proposed = np.empty((min(_WINDOW, size),) + w.shape, dtype=complex)
+    proposed = np.empty((_WINDOW,) + w.shape, dtype=complex)
     total = np.empty(proposed.shape[:2], dtype=complex)
     measures = {}
-    i = 0
-    while i < size:
-        n = min(_WINDOW, size - i)
-        if n not in measures:
-            measures[n] = magnitude_into(total[:n], power.P, power.slots)
-        np.multiply(w, turns[i:i + n], out=proposed[:n])
-        np.add.reduce(proposed[:n], axis=2, out=total[:n])
-        pm = measures[n](noise[i:i + n])[:, 0]
-        rises = np.flatnonzero(pm > est)
-        end = i + rises[0] if rises.size else i + n  # the pass's discards end here
-        block[i:end] = est
-        if done is not None:
-            for t in range(i, end):
-                if done(block[t]):
-                    return t + 1
-        if rises.size:
-            block[end] = est = pm[rises[0]]
-            w[...] = proposed[rises[0]]
-            end += 1
-            if done is not None and done(block[end - 1]):
-                return end
-        i = end
-    return size
+
+    def step(cur, turns, noise, block) -> int | None:
+        size = len(block)
+        est = cur[0]
+        i = 0
+        while i < size:
+            n = min(_WINDOW, size - i)
+            if n not in measures:
+                measures[n] = magnitude_into(total[:n], power.P, power.slots)
+            np.multiply(w, turns[i:i + n], out=proposed[:n])
+            np.add.reduce(proposed[:n], axis=2, out=total[:n])
+            pm = measures[n](noise[i:i + n])[:, 0]
+            rises = np.flatnonzero(pm > est)
+            end = i + rises[0] if rises.size else i + n  # the pass's discards end here
+            block[i:end] = est
+            if done is not None:
+                for t in range(i, end):
+                    if done(block[t]):
+                        return t + 1
+            if rises.size:
+                block[end] = est = pm[rises[0]]
+                w[...] = proposed[rises[0]]
+                end += 1
+                if done is not None and done(block[end - 1]):
+                    return end
+            i = end
+        return None
+    return step
 
 
 def _drive(batch: _Batch, spec, power, max_steps: int, goal, curves=None, thetas=None):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from distbeam.experiments import (
     INIT_MODES,
     _run_lockstep,
 )
+from distbeam.channel import _SLICE_VALUES
 from distbeam.search import _CHUNK, _CHUNK_VALUES, _chunk
 
 
@@ -428,6 +430,47 @@ def test_a_trial_past_its_goal_keeps_its_magnitude(monkeypatch):
     assert [len(cur) for cur in seen] == [1, 36, 36, 36]
     for trial, cur in enumerate(seen):
         assert np.array_equal(cur, full[trial, :len(cur)])
+
+
+@pytest.mark.parametrize("sigma2,k", [(0.0, 1), (0.05, 3)], ids=["noiseless", "noisy"])
+def test_lockstep_does_not_depend_on_the_block_budget(monkeypatch, sigma2, k):
+    # five rows of n_s 100 step chunks of about 250 steps in blocks of 32;
+    # per-trial goals retire rows between chunks and a mean goal stops the
+    # batch mid-chunk. With one step, seven values or a whole chunk a block,
+    # first passages, curves and the telescoping error are the same bits
+    cfg = small_config(trials=5, init_mode="uniform", sigma2=sigma2, averaging_slots=k)
+
+    def record(goals):
+        curves = []
+        first, dev = _run_lockstep(cfg, 100, 3000, goals, curves)
+        return first, dev, [np.concatenate(pieces) for pieces in curves]
+
+    for goals in (lambda opt: np.stack([0.5 * opt, 0.7 * opt]),
+                  lambda opt: np.array([[0.6 * opt.mean()]])):
+        default = record(goals)
+        assert default[0].min() > 0
+        for budget in (1, 7 * 100, 1 << 20):
+            monkeypatch.setattr(search, "_SLICE_VALUES", budget)
+            first, dev, curves = record(goals)
+            assert np.array_equal(first, default[0])
+            assert dev == default[1]
+            assert len(curves) == len(default[2])
+            for got, want in zip(curves, default[2]):
+                assert np.array_equal(got, want)
+        monkeypatch.undo()
+
+
+def test_a_chunk_holds_its_draws_and_one_block_of_rotations():
+    # sixteen trials of n_s 100 draw 81-step chunks of 8-byte values and form
+    # their rotations one block of at most _SLICE_VALUES values at a time
+    cfg = ExperimentConfig(n_s_values=(100,), trials=16)
+    tracemalloc.start()
+    try:
+        run_hitting_time_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _CHUNK_VALUES + 24 * _SLICE_VALUES + (256 << 10)
 
 
 def test_an_eps_sample_path_records_only_the_steps_its_runs_take(monkeypatch):

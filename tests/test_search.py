@@ -20,7 +20,7 @@ from distbeam import (
     sample_perturbation,
 )
 from distbeam import search
-from distbeam.channel import coherent_magnitude, phasors, rotations
+from distbeam.channel import _SLICE_VALUES, coherent_magnitude, phasors, rotations
 from distbeam.search import _CHUNK, _CHUNK_VALUES, _WINDOW, _chunk, _drive, _start
 
 POWER = PowerConfig()
@@ -519,6 +519,74 @@ def test_driver_sizes_each_chunk_to_its_live_rows_draws(monkeypatch, power, size
     per_row = 200 + (2 * power.averaging_slots if power.sigma2 > 0 else 0)
     for t, rows, size in seen:
         assert size == min(_CHUNK, max(1, _CHUNK_VALUES // (rows * per_row)), horizon - t)
+
+
+def _trajectory_record(ch, power, stop, seed):
+    """Every output of a run_trajectory on a caller's generator, and that
+    generator's next draw."""
+    rng = np.random.default_rng(seed)
+    traj = run_trajectory(ch, PerturbationSpec(delta0=math.pi / 30), power, "uniform", stop,
+                          seed=rng)
+    return [traj.initial_theta, traj.initial_mag, traj.final_theta, traj.bits, traj.mags,
+            traj.increments, traj.converged, traj.thetas, rng.random()]
+
+
+def _assert_same_bits(records, default):
+    for record in records:
+        assert len(record) == len(default)
+        for got, want in zip(record, default):
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "power", [POWER, PowerConfig(P=2.5, sigma2=0.05, averaging_slots=3)],
+    ids=["noiseless", "noisy"],
+)
+def test_trajectories_do_not_depend_on_the_block_budget(monkeypatch, power):
+    # a lone row at n_s 300 steps 256-step chunks in blocks of 54 steps, whose
+    # rotations it forms just before stepping them; the steps that follow a
+    # stop leave their blocks unformed. Alpha and eps stops land in the first,
+    # a middle and the last block of the second chunk; with one step, seven
+    # steps or a whole chunk a block, every output and the caller's next draw
+    # are the same bits
+    n_s = 300
+    ch = generate_channel(n_s, np.random.default_rng(12))
+    opt = optimal_magnitude(ch, power.P)
+    mags = run_trajectory(ch, PerturbationSpec(delta0=math.pi / 30), power, "uniform",
+                          StopRule.steps(512), seed=13).magnitudes()
+    span = _SLICE_VALUES // n_s
+    stops = []
+    for target, block in ((260, 0), (370, 2), (480, 4)):
+        t = next(t for t in range(target, 513) if mags[t] > mags[t - 1])  # a keep
+        assert (t - 257) // span == block
+        goal = (mags[t - 1] + mags[t]) / 2
+        stops += [(t, StopRule(512, alpha=goal / opt)), (t, StopRule(512, eps=opt - goal))]
+    for t, stop in stops:
+        default = _trajectory_record(ch, power, stop, 13)
+        assert len(default[3]) == t and default[6] is True
+        records = []
+        for budget in (1, 7 * n_s, 1 << 20):
+            monkeypatch.setattr(search, "_SLICE_VALUES", budget)
+            records.append(_trajectory_record(ch, power, stop, 13))
+        monkeypatch.undo()
+        _assert_same_bits(records, default)
+
+
+@pytest.mark.parametrize("n_s", [300, 800])
+def test_lone_rows_do_not_depend_on_the_block_budget(monkeypatch, n_s):
+    # chunks of 256 and 163 steps span 5 and 9 blocks by default; a step
+    # budget runs without done, an unreachable alpha tests it after every step
+    ch = generate_channel(n_s, np.random.default_rng(14))
+    for stop in (StopRule.steps(400), StopRule(400, alpha=1.0)):
+        default = _trajectory_record(ch, POWER, stop, 15)
+        assert len(default[3]) == 400 and 0 < default[3].sum() < 400
+        records = []
+        for budget in (1, 7 * n_s, 1 << 20):
+            monkeypatch.setattr(search, "_SLICE_VALUES", budget)
+            records.append(_trajectory_record(ch, POWER, stop, 15))
+        monkeypatch.undo()
+        _assert_same_bits(records, default)
 
 
 @pytest.mark.parametrize("k", [1, 3])
